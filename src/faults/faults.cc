@@ -5,6 +5,18 @@
 
 namespace rnt::faults {
 
+std::vector<CrashSpec> FaultPlan::CrashesOf(NodeId node) const {
+  std::vector<CrashSpec> out;
+  for (const CrashSpec& c : crashes) {
+    if (c.node == node) out.push_back(c);
+  }
+  std::sort(out.begin(), out.end(),
+            [](const CrashSpec& a, const CrashSpec& b) {
+              return a.TriggerStamp() < b.TriggerStamp();
+            });
+  return out;
+}
+
 std::string FaultPlan::ToString() const {
   std::ostringstream os;
   os << "FaultPlan{seed=" << seed << ", drop=" << drop_prob

@@ -113,6 +113,11 @@ struct FaultPlan {
   std::vector<CrashSpec> crashes;
   std::vector<PartitionSpec> partitions;
 
+  /// Node `node`'s crashes in the order their logical-clock triggers fire:
+  /// the schedule both free-running runtimes (threads and processes) work
+  /// through.
+  std::vector<CrashSpec> CrashesOf(NodeId node) const;
+
   std::string ToString() const;
 };
 

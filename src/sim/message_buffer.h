@@ -1,6 +1,7 @@
 #ifndef RNT_SIM_MESSAGE_BUFFER_H_
 #define RNT_SIM_MESSAGE_BUFFER_H_
 
+#include <cstdint>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -11,7 +12,8 @@
 
 namespace rnt::sim {
 
-/// One in-flight transmission toward the owning destination node.
+/// One in-flight transmission toward the owning destination node, as
+/// every transport backend carries it (transport.h's TransportMessage).
 struct NodeMessage {
   NodeId from = 0;
   dist::ActionSummary summary;
@@ -19,6 +21,9 @@ struct NodeMessage {
   /// value delays the message past `delay` drain passes; distinct delays
   /// reorder messages).
   int delay = 0;
+  /// The sender's Lamport clock at transmission, for the socket backends
+  /// (the in-process backend stamps from one global counter; 0 there).
+  std::uint64_t clock = 0;
 };
 
 /// The concurrent message buffer of the parallel runner: one MPSC queue

@@ -1,10 +1,9 @@
 #include "sim/node_runtime.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
+#include <optional>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include <poll.h>
@@ -14,6 +13,7 @@
 #include "dist/summary.h"
 #include "dist/topology.h"
 #include "sim/event_log.h"
+#include "sim/node_loop.h"
 #include "sim/socket_transport.h"
 #include "sim/wire.h"
 #include "storage/retention_log.h"
@@ -23,117 +23,121 @@ namespace rnt::sim {
 namespace {
 
 using dist::ActionSummary;
-using dist::DistAlgebra;
 using dist::DistEvent;
-using dist::DistState;
-
-/// anc(A) ∩ summary.aborted ≠ ∅ from local knowledge — the same
-/// lose-lock precondition (f12) judgment as the in-process runner.
-bool LocallyDead(const action::ActionRegistry& reg, const ActionSummary& t,
-                 ActionId a) {
-  for (ActionId c : reg.AncestorChain(a)) {
-    if (c != kRootAction && t.IsAborted(c)) return true;
-  }
-  return false;
-}
 
 /// Liveness-only pacing; never semantics (outcomes are replay-certified).
 void PauseMs(int ms) { (void)::poll(nullptr, 0, ms); }
 
-/// One ℬ node running as a whole OS process. This is the in-process
-/// ParallelRunner's per-node loop (parallel_runner.cc) transplanted
-/// behind a Transport, with three substitutions:
+/// The process host of ℬ: one NodeLoop (node_loop.h) as this whole OS
+/// process, around it what only a process needs — durable open and
+/// replay, the hub connection, and heartbeats. Its hooks:
 ///
-///  * the shared atomic stamp counter becomes a per-node Lamport clock
-///    (each recorded event stamps ++clock; a delivery first raises the
-///    clock to the sender's transmit clock, so receiver stamps strictly
-///    follow the transmission and the post-hoc merge by (stamp, node)
-///    is a legal ℬ order);
-///  * the in-memory event log becomes a durable per-incarnation trace
-///    file, appended *before* the retention append of the same fact —
-///    so a kill -9 at any instruction leaves retention ⊆ trace, and the
-///    rebirth Receive of the retention log is legal against the buffer
-///    mirror a mechanical trace replay rebuilds;
-///  * fault injection moves entirely to the hub's link interposer (the
-///    process cannot be trusted to drop its own frames once kill -9 is
-///    real) — the node only *reacts*: held delayed messages, reconnects,
-///    anti-entropy rebroadcasts, give-up.
-class NodeRuntime {
+///  * stamp and record: a per-node Lamport clock (each recorded event
+///    stamps ++clock; a delivery first raises the clock to the sender's
+///    transmit clock, so receiver stamps strictly follow the transmission
+///    and the post-hoc merge by (stamp, node) is a legal ℬ order), and a
+///    durable per-incarnation trace file;
+///  * retain: the RetentionLog with its in-memory mirror and checkpoint
+///    compaction. The loop retains only after the carrying Send is
+///    traced, so a kill -9 at any instruction leaves retention ⊆ trace,
+///    and the rebirth Receive of the retention log is legal against the
+///    buffer mirror a mechanical trace replay rebuilds;
+///  * transmit: a plain SocketTransport::Send. Fault injection lives at
+///    the hub's link interposer (the process cannot be trusted to drop
+///    its own frames once kill -9 is real); the node only *reacts*;
+///  * done, stop and pace: heartbeats, the hub's kAllDone broadcast, and
+///    a 1 ms pause after 8 idle passes.
+class NodeRuntime final : public NodeHost {
  public:
   explicit NodeRuntime(const NodeRuntimeOptions& options)
       : options_(options),
         reg_(options.spec.BuildRegistry()),
         topo_(dist::Topology::RoundRobin(&reg_, options.spec.k)),
         alg_(&topo_),
-        state_(alg_.Initial()),
-        children_(reg_.size()) {}
+        state_(alg_.Initial()) {}
 
   Status Run() {
-    RNT_RETURN_IF_ERROR(Plan());
-    RNT_RETURN_IF_ERROR(OpenDurable());
-    if (options_.recover) RNT_RETURN_IF_ERROR(Recover());
-    RNT_RETURN_IF_ERROR(Connect());
-    return Loop();
-  }
-
- private:
-  struct ObjectWork {
-    ObjectId x = 0;
-    std::vector<ActionId> tickets;
-    std::size_t next = 0;
-    bool drained = false;
-  };
-
-  /// Same one-DFS planning as the in-process runner (children in id
-  /// order — the sequential driver's schedule), restricted to this
-  /// node's obligations. No static abort set here: aborts come only
-  /// from the timeout watchdog.
-  Status Plan() {
     if (options_.node >= topo_.k()) {
       return Status::InvalidArgument("node id out of range");
     }
-    for (ActionId a = 1; a < reg_.size(); ++a) {
-      children_[reg_.Parent(a)].push_back(a);
+    RNT_RETURN_IF_ERROR(
+        ValidateLoopOptions(options_.propagation, topo_.k(), {}));
+    // No static abort set here: aborts come only from the watchdog.
+    auto plan = PlanProgram(alg_, {});
+    RNT_RETURN_IF_ERROR(plan.status());
+    plan_ = std::move(*plan);
+    NodeLoop::Config config;
+    config.self = options_.node;
+    config.propagation = options_.propagation;
+    config.max_idle_spins = options_.max_idle_spins;
+    loop_.emplace(alg_, state_, plan_, config, *this);
+    RNT_RETURN_IF_ERROR(OpenDurable());
+    if (options_.recover) RNT_RETURN_IF_ERROR(ReplayTraces());
+    RNT_RETURN_IF_ERROR(Connect());
+    RNT_RETURN_IF_ERROR(loop_->Run());
+    // Bounded rebirth: leave the retention log compacted, so the next
+    // incarnation (or a post-mortem audit) replays O(entries) records.
+    if (!retained_.empty()) {
+      RNT_RETURN_IF_ERROR(retention_->Checkpoint(retained_));
     }
-    created_.assign(reg_.size(), 0);
-    shipped_.resize(topo_.k());
-    shipped_version_.assign(topo_.k(), 0);
-    std::map<ObjectId, std::vector<ActionId>> tickets;
-    std::vector<std::pair<ActionId, bool>> stack;
-    for (auto it = children_[kRootAction].rbegin();
-         it != children_[kRootAction].rend(); ++it) {
-      stack.emplace_back(*it, false);
-    }
-    while (!stack.empty()) {
-      auto [a, expanded] = stack.back();
-      stack.pop_back();
-      if (expanded) {
-        if (topo_.HomeOfAction(a) == options_.node) commits_.push_back(a);
-        continue;
-      }
-      if (topo_.Origin(a) == options_.node) creates_.push_back(a);
-      if (reg_.IsAccess(a)) {
-        tickets[reg_.Object(a)].push_back(a);
-        continue;
-      }
-      stack.emplace_back(a, true);
-      for (auto it = children_[a].rbegin(); it != children_[a].rend(); ++it) {
-        stack.emplace_back(*it, false);
-      }
-    }
-    for (auto& [x, list] : tickets) {
-      if (topo_.HomeOfObject(x) != options_.node) continue;
-      ObjectWork ow;
-      ow.x = x;
-      ow.tickets = std::move(list);
-      objects_.push_back(std::move(ow));
-    }
-    done_flag_.assign(commits_.size(), 0);
-    next_retry_idle_ =
-        static_cast<std::uint64_t>(std::max(1, options_.stall_retry_spins));
     return Status::Ok();
   }
 
+  Status Record(const DistEvent& e, std::uint64_t* stamp) override {
+    *stamp = ++clock_;
+    return trace_->Append(*stamp, e);
+  }
+
+  void Observe(std::uint64_t clock) override {
+    clock_ = std::max(clock_, clock);
+  }
+
+  Status Retain(const ActionSummary& payload) override {
+    for (const auto& [a, s] : payload.entries()) {
+      RNT_RETURN_IF_ERROR(retention_->Append(a, s));
+    }
+    retained_.MergeFrom(payload);
+    if (retention_->SuggestCheckpoint(retained_.size())) {
+      return retention_->Checkpoint(retained_);
+    }
+    return Status::Ok();
+  }
+
+  /// The clock rides along for the receiver's Lamport merge; a frame the
+  /// hub's interposer drops never becomes an event.
+  void Send(NodeId to, ActionSummary payload) override {
+    // Fire-and-forget by ℬ's message model: the network may eat any
+    // transmission, and anti-entropy rebroadcasts repair the gap.
+    (void)transport_->Send(  // rnt-lint: allow(status-must-use)
+        to, TransportMessage{options_.node, std::move(payload), 0, clock_});
+  }
+
+  std::vector<TransportMessage> Poll() override {
+    return transport_->Poll(options_.node);
+  }
+
+  void OnDone() override { Beat(); }
+
+  bool AllDone() override { return transport_->AllDone(); }
+
+  /// Heartbeat tick: hub-observed time advances while everyone stalls.
+  void Tick() override {
+    ++clock_;
+    Beat();
+  }
+
+  bool Pace(bool progress) override {
+    if ((loop_->passes() & 0xff) == 0) Beat();  // periodic liveness
+    if (progress) return true;
+    const std::uint64_t idle = loop_->idle();
+    if (idle > 10 * options_.max_idle_spins) {
+      return false;  // supervisor unreachable for good; exit on our own
+    }
+    if (idle > 8) PauseMs(1);  // single-core friendliness
+    return true;
+  }
+
+ private:
   Status OpenDurable() {
     // Retention first: Open repairs a torn tail in place, so the Load
     // below (and every later rebirth) reads a clean prefix.
@@ -149,21 +153,15 @@ class NodeRuntime {
     return Status::Ok();
   }
 
-  /// Rebirth (paper §9.1). Two durable sources, two roles:
-  ///
-  ///  1. Mechanical replay of this node's own trace files rebuilds the
-  ///     node component exactly as the crashed incarnations left it —
-  ///     summary, lock table, buffer mirror M_i. These events are
-  ///     *already recorded*; they are applied, not re-recorded.
-  ///  2. One Receive of the retention log's summary is recorded as the
-  ///     first event of the new incarnation — the paper's single legal
-  ///     Receive that re-establishes knowledge a crash between apply
-  ///     and trace-append may have cost the summary.
-  ///
-  /// Legality of (2) is structural: every retained fact was traced as a
-  /// Send (self-WAL or delivery) *before* its retention append, so the
-  /// replayed buffer mirror contains the whole retention summary.
-  Status Recover() {
+  /// Rebirth, part 1 (paper §9.1): mechanical replay of this node's own
+  /// trace files rebuilds the node component exactly as the crashed
+  /// incarnations left it — summary, lock table, buffer mirror M_i. These
+  /// events are *already recorded*; they are applied, not re-recorded.
+  /// Part 2 is the loop's Rebirth in Connect: one Receive of the
+  /// retention log's summary, recorded as the first event of the new
+  /// incarnation, re-establishes knowledge a crash between apply and
+  /// trace-append may have cost the summary.
+  Status ReplayTraces() {
     for (std::uint32_t g = 0; g < options_.incarnation; ++g) {
       auto events = EventLog::Load(options_.dir, options_.node, g);
       if (!events.ok()) {
@@ -185,19 +183,7 @@ class NodeRuntime {
         EventLog::Open(options_.dir, options_.node, options_.incarnation);
     RNT_RETURN_IF_ERROR(trace.status());
     trace_ = std::move(*trace);
-    if (options_.recover) {
-      if (!retained_.empty()) {
-        DistEvent recv{dist::Receive{options_.node, retained_}};
-        if (!alg_.Defined(state_, recv)) {
-          return Status::Internal(
-              "rnt_node: rebirth replay is not a legal Receive (trace-"
-              "before-retention discipline broken)");
-        }
-        alg_.Apply(state_, recv);
-        if (!Record(std::move(recv))) return err_;
-      }
-      RebuildCursors();
-    }
+    if (options_.recover) RNT_RETURN_IF_ERROR(loop_->Rebirth(retained_));
     HelloFrame hello;
     hello.node = options_.node;
     hello.incarnation = options_.incarnation;
@@ -213,482 +199,25 @@ class NodeRuntime {
     return Status::Ok();
   }
 
-  /// Obligation cursors from recovered knowledge, exactly as the
-  /// in-process Recover: a performed access carries committed status
-  /// (effect (d21)), so ticket cursors are recoverable from the summary.
-  void RebuildCursors() {
-    const ActionSummary& t = state_.nodes[options_.node].summary;
-    for (ActionId a : creates_) {
-      created_[a] = (t.Contains(a) || LocallyDead(reg_, t, a)) ? 1 : 0;
-    }
-    next_create_ = 0;
-    while (next_create_ < creates_.size() &&
-           created_[creates_[next_create_]]) {
-      ++next_create_;
-    }
-    for (std::size_t i = 0; i < commits_.size(); ++i) {
-      done_flag_[i] = t.IsDone(commits_[i]) ? 1 : 0;
-    }
-    for (ObjectWork& ow : objects_) {
-      ow.next = 0;
-      while (ow.next < ow.tickets.size() &&
-             (t.IsCommitted(ow.tickets[ow.next]) ||
-              LocallyDead(reg_, t, ow.tickets[ow.next]))) {
-        ++ow.next;
-      }
-      ow.drained = false;  // re-walk the durable lock table
-    }
-  }
-
-  // ----------------------------------------------------------------
-  // Event loop.
-
-  Status Loop() {
-    for (;;) {
-      ++passes_;
-      bool progress = false;
-      progress |= DeliverMail();
-      progress |= TryCreates();
-      progress |= TryAborts();
-      progress |= TryObjects();
-      progress |= TryCommits();
-      if (!err_.ok()) return err_;
-      if (!marked_done_ && LocalDone()) {
-        marked_done_ = true;
-        progress = true;
-        // Liveness-only signal: a lost heartbeat is re-sent next pass.
-        (void)transport_->SendHeartbeat(  // rnt-lint: allow(status-must-use)
-            Heartbeat());
-      }
-      Flush();
-      if (!err_.ok()) return err_;
-      if (transport_->AllDone()) break;
-      if ((passes_ & 0xff) == 0) {
-        // Periodic liveness; the next beat supersedes a lost one.
-        (void)transport_->SendHeartbeat(  // rnt-lint: allow(status-must-use)
-            Heartbeat());
-      }
-      if (progress) {
-        idle_ = 0;
-        attempts_ = 0;
-        next_retry_idle_ = static_cast<std::uint64_t>(
-            std::max(1, options_.stall_retry_spins));
-      } else {
-        ++idle_;
-        if (options_.stall_retry_spins > 0 && idle_ >= next_retry_idle_) {
-          Watchdog();
-          if (!err_.ok()) return err_;
-        }
-        if (!marked_done_ && idle_ > options_.max_idle_spins) {
-          // Permanent starvation (e.g. an unhealed partition): degrade
-          // to a diagnosed incomplete run instead of hanging.
-          gave_up_ = true;
-          marked_done_ = true;
-          // Best-effort give-up notice; heartbeats repeat each pass.
-          (void)transport_->SendHeartbeat(  // rnt-lint: allow(status-must-use)
-              Heartbeat());
-        }
-        if (idle_ > 10 * options_.max_idle_spins) {
-          break;  // supervisor unreachable for good; exit on our own
-        }
-        if (idle_ > 8) PauseMs(1);  // single-core friendliness
-      }
-    }
-    // Bounded rebirth: leave the retention log compacted, so the next
-    // incarnation (or a post-mortem audit) replays O(entries) records.
-    if (!retained_.empty()) {
-      RNT_RETURN_IF_ERROR(retention_->Checkpoint(retained_));
-    }
-    return Status::Ok();
-  }
-
-  HeartbeatFrame Heartbeat() const {
+  void Beat() {
     HeartbeatFrame f;
     f.node = options_.node;
     f.clock = clock_;
-    f.done = marked_done_;
-    f.gave_up = gave_up_;
+    f.done = loop_->marked_done();
+    f.gave_up = loop_->gave_up();
     f.acked_scalar = SummaryScalar(retained_);
-    return f;
-  }
-
-  /// Anti-entropy + escalation, mirroring the in-process watchdog: a
-  /// clock tick (so hub-observed time advances while everyone stalls),
-  /// a full-summary rebroadcast, a heartbeat, and past the threshold a
-  /// timeout-abort; bounded-exponential backoff (shift cap 5).
-  void Watchdog() {
-    ++attempts_;
-    ++clock_;  // heartbeat tick
-    FullBroadcast();
-    // Watchdog beat: loss is indistinguishable from silence and the
-    // next backoff round beats again.
-    (void)transport_->SendHeartbeat(  // rnt-lint: allow(status-must-use)
-        Heartbeat());
-    if (!marked_done_ && attempts_ > options_.max_attempts_per_step) {
-      if (TimeoutAbort()) attempts_ = 0;
-    }
-    const std::uint64_t base = static_cast<std::uint64_t>(
-        std::max(1, options_.stall_retry_spins));
-    next_retry_idle_ = idle_ + (base << std::min(attempts_, 5));
-  }
-
-  bool TimeoutAbort() {
-    const ActionSummary& t = state_.nodes[options_.node].summary;
-    for (ObjectWork& ow : objects_) {  // stuck lock holders first
-      if (ow.next >= ow.tickets.size()) continue;
-      ActionId requester = ow.tickets[ow.next];
-      if (!t.IsActive(requester)) continue;
-      const auto* entry = state_.nodes[options_.node].vmap.EntriesFor(ow.x);
-      if (entry == nullptr) continue;
-      for (const auto& [b, v] : *entry) {
-        if (b == kRootAction || reg_.IsProperAncestor(b, requester)) continue;
-        if (LocallyDead(reg_, t, b) || t.IsCommitted(b)) break;  // walkable
-        if (AbortAncestorHomedHere(b, requester)) return true;
-        break;
-      }
-    }
-    // Own path: commits are in DFS post-order, so the first pending
-    // entry is the deepest unfinished subtransaction homed here.
-    for (std::size_t i = 0; i < commits_.size(); ++i) {
-      if (done_flag_[i]) continue;
-      ActionId a = commits_[i];
-      if (!t.IsActive(a)) continue;
-      if (!ApplyNodeEvent(DistEvent{dist::NodeAbort{options_.node, a}})) {
-        return false;
-      }
-      done_flag_[i] = 1;
-      return true;
-    }
-    return false;
-  }
-
-  bool AbortAncestorHomedHere(ActionId blocker, ActionId requester) {
-    const ActionSummary& t = state_.nodes[options_.node].summary;
-    for (ActionId c : reg_.AncestorChain(blocker)) {
-      if (c == kRootAction || reg_.IsAccess(c)) continue;
-      if (reg_.IsAncestor(c, requester)) continue;
-      if (topo_.HomeOfAction(c) != options_.node) continue;
-      if (!t.IsActive(c)) continue;
-      if (!ApplyNodeEvent(DistEvent{dist::NodeAbort{options_.node, c}})) {
-        return false;
-      }
-      for (std::size_t i = 0; i < commits_.size(); ++i) {
-        if (commits_[i] == c) {
-          done_flag_[i] = 1;
-          break;
-        }
-      }
-      return true;
-    }
-    return false;
-  }
-
-  /// Stamps and durably traces one event. False latches err_.
-  bool Record(DistEvent e) {
-    const std::uint64_t stamp = ++clock_;
-    const Status s = trace_->Append(stamp, e);
-    if (!s.ok()) {
-      err_ = s;
-      return false;
-    }
-    return true;
-  }
-
-  /// Durability order per fact: trace append (in Record) strictly before
-  /// the retention append here — the invariant the rebirth Receive rests
-  /// on (retention ⊆ traced sends at every kill point).
-  bool RetainDurable(const ActionSummary& payload) {
-    for (const auto& [a, s] : payload.entries()) {
-      const Status w = retention_->Append(a, s);
-      if (!w.ok()) {
-        err_ = w;
-        return false;
-      }
-    }
-    retained_.MergeFrom(payload);
-    if (retention_->SuggestCheckpoint(retained_.size())) {
-      const Status c = retention_->Checkpoint(retained_);
-      if (!c.ok()) {
-        err_ = c;
-        return false;
-      }
-    }
-    return true;
-  }
-
-  /// Apply + trace + WAL self-send, the process analogue of the
-  /// in-process ApplyNodeEvent: summary-changing events are followed by
-  /// a one-entry Send{i,i} (traced, then retained) so M_i stays a
-  /// durable superset of the node's acted-on knowledge.
-  bool ApplyNodeEvent(DistEvent e) {
-    ActionId wal_a = kInvalidAction;
-    action::ActionStatus wal_s = action::ActionStatus::kActive;
-    if (const auto* c = std::get_if<dist::NodeCreate>(&e)) {
-      wal_a = c->a;
-    } else if (const auto* c = std::get_if<dist::NodeCommit>(&e)) {
-      wal_a = c->a;
-      wal_s = action::ActionStatus::kCommitted;
-    } else if (const auto* c = std::get_if<dist::NodeAbort>(&e)) {
-      wal_a = c->a;
-      wal_s = action::ActionStatus::kAborted;
-    } else if (const auto* p = std::get_if<dist::NodePerform>(&e)) {
-      wal_a = p->a;  // effect (d21) sets the access committed
-      wal_s = action::ActionStatus::kCommitted;
-    }
-    if (!alg_.Defined(state_, e)) {
-      err_ = Status::Internal("rnt_node: event unexpectedly undefined: " +
-                              dist::ToString(e));
-      return false;
-    }
-    alg_.Apply(state_, e);
-    ++version_;
-    if (!Record(std::move(e))) return false;
-    if (wal_a != kInvalidAction) {
-      ActionSummary entry;
-      entry.AddActive(wal_a);
-      if (wal_s != action::ActionStatus::kActive) {
-        entry.SetStatus(wal_a, wal_s);
-      }
-      DistEvent send{dist::Send{options_.node, options_.node, entry}};
-      alg_.Apply(state_, send);  // merge into own buffer mirror (g21)
-      if (!Record(std::move(send))) return false;
-      if (!RetainDurable(entry)) return false;
-    }
-    return true;
-  }
-
-  /// Polls the transport and applies Send + Receive per delivered
-  /// message; delay-verdict messages are held for later passes. The
-  /// Lamport merge happens here: delivery raises the clock past the
-  /// sender's transmit clock before the Send is stamped.
-  bool DeliverMail() {
-    bool progress = false;
-    std::vector<TransportMessage> due;
-    for (TransportMessage& m : held_) {
-      if (--m.delay <= 0) due.push_back(std::move(m));
-    }
-    std::erase_if(held_,
-                  [](const TransportMessage& m) { return m.delay <= 0; });
-    for (TransportMessage& m : transport_->Poll(options_.node)) {
-      if (m.delay > 0) {
-        held_.push_back(std::move(m));
-      } else {
-        due.push_back(std::move(m));
-      }
-    }
-    for (TransportMessage& m : due) {
-      clock_ = std::max(clock_, m.clock);
-      if (!Record(DistEvent{dist::Send{m.from, options_.node, m.summary}})) {
-        return progress;
-      }
-      state_.buffer[options_.node].MergeFrom(m.summary);
-      if (!RetainDurable(m.summary)) return progress;
-      if (!Record(DistEvent{dist::Receive{options_.node, m.summary}})) {
-        return progress;
-      }
-      // The sender certainly knows what it sent; suppress echo traffic.
-      shipped_[m.from].MergeFrom(m.summary);
-      if (state_.nodes[options_.node].summary.MergeFrom(
-              std::move(m.summary))) {
-        ++version_;
-        progress = true;
-      }
-    }
-    return progress;
-  }
-
-  bool TryCreates() {
-    const ActionSummary& t = state_.nodes[options_.node].summary;
-    bool progress = false;
-    for (std::size_t idx = next_create_; idx < creates_.size(); ++idx) {
-      ActionId a = creates_[idx];
-      if (created_[a]) continue;
-      if (LocallyDead(reg_, t, a)) {
-        created_[a] = 1;  // resolved by never running (dead subtree)
-        progress = true;
-        continue;
-      }
-      ActionId p = reg_.Parent(a);
-      if (p != kRootAction && (!t.Contains(p) || t.IsCommitted(p))) continue;
-      if (!ApplyNodeEvent(DistEvent{dist::NodeCreate{options_.node, a}})) {
-        return progress;
-      }
-      created_[a] = 1;
-      progress = true;
-    }
-    while (next_create_ < creates_.size() &&
-           created_[creates_[next_create_]]) {
-      ++next_create_;
-    }
-    return progress;
-  }
-
-  bool TryAborts() {
-    // No static abort set in the multi-process runner; aborts originate
-    // from the watchdog only. Kept as a loop stage for symmetry with the
-    // in-process runner (and for future planned-abort support).
-    return false;
-  }
-
-  bool TryCommits() {
-    const ActionSummary& t = state_.nodes[options_.node].summary;
-    bool progress = false;
-    for (std::size_t i = 0; i < commits_.size(); ++i) {
-      if (done_flag_[i]) continue;
-      ActionId a = commits_[i];
-      if (!t.IsActive(a)) continue;
-      // Strengthened (b12): every child created *and* done in local
-      // knowledge (children are created on this very node).
-      bool ready = true;
-      for (ActionId c : children_[a]) {
-        if (!created_[c] || !t.IsDone(c)) {
-          ready = false;
-          break;
-        }
-      }
-      if (!ready) continue;
-      if (!ApplyNodeEvent(DistEvent{dist::NodeCommit{options_.node, a}})) {
-        return progress;
-      }
-      done_flag_[i] = 1;
-      progress = true;
-    }
-    return progress;
-  }
-
-  bool TryObjects() {
-    bool progress = false;
-    for (ObjectWork& ow : objects_) {
-      if (ow.next < ow.tickets.size()) {
-        ActionId a = ow.tickets[ow.next];
-        if (LocallyDead(reg_, state_.nodes[options_.node].summary, a)) {
-          ++ow.next;  // orphaned ticket; keep the queue moving
-          progress = true;
-          continue;
-        }
-        if (!state_.nodes[options_.node].summary.IsActive(a)) continue;
-        if (!WalkLocks(ow.x, a, &progress)) continue;  // still blocked
-        Value u =
-            state_.nodes[options_.node].vmap.PrincipalValue(ow.x, reg_);
-        if (!ApplyNodeEvent(
-                DistEvent{dist::NodePerform{options_.node, a, u}})) {
-          return progress;
-        }
-        ++ow.next;
-        progress = true;
-      } else if (!ow.drained) {
-        if (WalkLocks(ow.x, kInvalidAction, &progress)) {
-          ow.drained = true;
-          progress = true;
-        }
-      }
-    }
-    return progress;
-  }
-
-  bool WalkLocks(ObjectId x, ActionId requester, bool* progress) {
-    const ActionSummary& t = state_.nodes[options_.node].summary;
-    for (;;) {
-      const auto* entry = state_.nodes[options_.node].vmap.EntriesFor(x);
-      if (entry == nullptr) return true;
-      ActionId blocker = kInvalidAction;
-      for (const auto& [b, v] : *entry) {
-        if (b != kRootAction &&
-            (requester == kInvalidAction ||
-             !reg_.IsProperAncestor(b, requester))) {
-          blocker = b;
-          break;
-        }
-      }
-      if (blocker == kInvalidAction) return true;
-      if (LocallyDead(reg_, t, blocker)) {
-        if (!ApplyNodeEvent(
-                DistEvent{dist::NodeLoseLock{options_.node, blocker, x}})) {
-          return false;
-        }
-        *progress = true;
-      } else if (t.IsCommitted(blocker)) {
-        if (!ApplyNodeEvent(DistEvent{
-                dist::NodeReleaseLock{options_.node, blocker, x}})) {
-          return false;
-        }
-        *progress = true;
-      } else {
-        return false;  // knowledge not here yet; broadcasts bring it
-      }
-    }
-  }
-
-  bool LocalDone() const {
-    if (next_create_ < creates_.size()) return false;
-    for (char f : done_flag_) {
-      if (!f) return false;
-    }
-    for (const ObjectWork& ow : objects_) {
-      if (ow.next < ow.tickets.size() || !ow.drained) return false;
-    }
-    return true;
-  }
-
-  // ----------------------------------------------------------------
-  // Knowledge shipping.
-
-  void Flush() {
-    const NodeId k = topo_.k();
-    const ActionSummary& t = state_.nodes[options_.node].summary;
-    if (t.empty()) return;
-    for (NodeId j = 0; j < k; ++j) {
-      if (j == options_.node) continue;
-      if (options_.propagation == Propagation::kDelta) {
-        ActionSummary delta = t.DeltaSince(shipped_[j]);
-        if (delta.empty()) continue;
-        shipped_[j].MergeFrom(delta);
-        Transmit(j, std::move(delta));
-      } else {  // kEager
-        if (shipped_version_[j] == version_) continue;
-        shipped_version_[j] = version_;
-        Transmit(j, t);
-      }
-    }
-  }
-
-  void FullBroadcast() {
-    const ActionSummary& t = state_.nodes[options_.node].summary;
-    if (t.empty()) return;
-    for (NodeId j = 0; j < topo_.k(); ++j) {
-      if (j != options_.node) Transmit(j, t);
-    }
-  }
-
-  /// One transmission toward the hub. No event is recorded here — as in
-  /// the in-process runner, the Send is stamped by the *receiver* at
-  /// delivery, so a frame the interposer drops never becomes an event.
-  /// A false return means the link ate it; anti-entropy re-sends.
-  void Transmit(NodeId to, ActionSummary payload) {
-    // Fire-and-forget by ℬ's message model: the network may eat any
-    // transmission, and anti-entropy rebroadcasts repair the gap.
-    (void)transport_->Send(  // rnt-lint: allow(status-must-use)
-        to, TransportMessage{options_.node, std::move(payload), 0, clock_});
+    // Liveness only: a lost beat is indistinguishable from silence, and
+    // the next one supersedes it.
+    (void)transport_->SendHeartbeat(f);  // rnt-lint: allow(status-must-use)
   }
 
   const NodeRuntimeOptions& options_;
   action::ActionRegistry reg_;
   dist::Topology topo_;
-  DistAlgebra alg_;
-  DistState state_;
-
-  std::vector<std::vector<ActionId>> children_;
-  std::vector<ActionId> creates_;
-  std::vector<ActionId> commits_;
-  std::vector<ObjectWork> objects_;
-  std::size_t next_create_ = 0;
-  std::vector<char> done_flag_;
-  std::vector<char> created_;
-
-  std::uint64_t version_ = 0;
-  std::vector<ActionSummary> shipped_;
-  std::vector<std::uint64_t> shipped_version_;
-  std::vector<TransportMessage> held_;
+  dist::DistAlgebra alg_;
+  dist::DistState state_;
+  LoopPlan plan_;
+  std::optional<NodeLoop> loop_;
 
   std::uint64_t clock_ = 0;
   std::unique_ptr<EventLog> trace_;
@@ -698,14 +227,6 @@ class NodeRuntime {
   /// durably-acknowledged progress the heartbeat reports.
   ActionSummary retained_;
   std::unique_ptr<SocketTransport> transport_;
-
-  std::uint64_t passes_ = 0;
-  std::uint64_t idle_ = 0;
-  int attempts_ = 0;
-  std::uint64_t next_retry_idle_ = 0;
-  bool marked_done_ = false;
-  bool gave_up_ = false;
-  Status err_ = Status::Ok();
 };
 
 }  // namespace

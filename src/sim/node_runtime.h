@@ -28,23 +28,21 @@ struct NodeRuntimeOptions {
   std::string dir;
   /// Hub endpoint ("unix:<path>" or "tcp:<host>:<port>").
   std::string endpoint;
+  /// kDelta or kEager (the loop is reactive; kLazy is rejected).
   Propagation propagation = Propagation::kDelta;
-  /// Watchdog tuning, mirroring ParallelOptions: idle passes before the
-  /// first anti-entropy retry, retries before a timeout-abort, and idle
-  /// passes before the node gives up (degrading the run to diagnosed
-  /// incomplete instead of hanging).
-  int stall_retry_spins = 64;
-  int max_attempts_per_step = 16;
+  /// Idle passes before the node gives up (degrading the run to diagnosed
+  /// incomplete instead of hanging). The watchdog's other thresholds are
+  /// the loop's constants kStallRetrySpins and kMaxAttemptsPerStep.
   std::uint64_t max_idle_spins = 60000;
 };
 
 /// Runs one ℬ node as this whole process: recovers durable state when
 /// `recover` is set (mechanical replay of the node's own trace files,
 /// then one legal Receive of the retention log — the paper's §9.1
-/// rebirth), connects to the hub, and drives the node's event loop until
-/// the hub broadcasts kAllDone. Returns non-ok only on local invariant
-/// violations or unusable durable state; fault-induced stalls end in a
-/// diagnosed give-up heartbeat, not an error.
+/// rebirth), connects to the hub, and drives the node's NodeLoop
+/// (node_loop.h) until the hub broadcasts kAllDone. Returns non-ok only
+/// on local invariant violations or unusable durable state; fault-induced
+/// stalls end in a diagnosed give-up heartbeat, not an error.
 Status RunNodeProcess(const NodeRuntimeOptions& options);
 
 }  // namespace rnt::sim

@@ -3,14 +3,16 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <string>
 #include <thread>
 #include <utility>
-#include <variant>
 
 #include "common/lock_ranks.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "sim/message_buffer.h"
+#include "sim/node_loop.h"
 #include "sim/transport.h"
 #include "storage/retention_log.h"
 #include "txn/online_checker.h"
@@ -24,25 +26,14 @@ using dist::DistAlgebra;
 using dist::DistEvent;
 using dist::DistState;
 
-/// anc(A) ∩ summary.aborted ≠ ∅, judged from one node's local knowledge —
-/// the lose-lock precondition (f12) at this level.
-bool LocallyDead(const action::ActionRegistry& reg, const ActionSummary& t,
-                 ActionId a) {
-  for (ActionId c : reg.AncestorChain(a)) {
-    if (c != kRootAction && t.IsAborted(c)) return true;
-  }
-  return false;
-}
-
-/// Multi-threaded executor of ℬ: one free-running event loop per node.
+/// Multi-threaded host of ℬ: one NodeLoop (node_loop.h) per node thread.
 ///
 /// Race-freedom rests on the algebra's structure, not on locks. Thread i
 /// exclusively owns state_.nodes[i] (every node event's precondition and
 /// effect touch only the doer's component — Local Domain / Local Changes,
-/// Lemma 22) and state_.buffer[i] (the Send effect (g21) merges into the
-/// *destination's* buffer, so the runner applies a Send on the receiving
-/// thread when the message is drained from the mailbox). The only
-/// cross-thread channel is the mutex-free ConcurrentMailbox.
+/// Lemma 22) and state_.buffer[i] (the loop applies a Send on the
+/// receiving thread when the message is drained). The only cross-thread
+/// channel is the mutex-free ConcurrentMailbox.
 ///
 /// The recorded event log is a valid ℬ computation in stamp order even
 /// though no thread ever checks a Send against the sender's component:
@@ -53,41 +44,31 @@ bool LocallyDead(const action::ActionRegistry& reg, const ActionSummary& t,
 /// release/acquire edges.
 ///
 /// Resilience: the stamp counter doubles as the *logical clock* for the
-/// full FaultPlan. Each node WAL-appends every summary change into the
-/// mailbox's durable retention buffer (a one-entry self-send, recorded in
-/// the log so the buffer M_i of the replayed computation matches the
-/// device). A crash wipes the node's volatile summary and terminates its
-/// thread; the supervisor joins it and, once the logical clock passes the
-/// rebirth stamp (or the whole system quiesces — liveness beats schedule
-/// fidelity), spawns a fresh thread that replays M_i with one legal
-/// Receive and reconstructs its obligation cursors from the recovered
-/// knowledge plus the durable lock table (performed accesses carry
-/// committed status per effect (d21), so ticket cursors are recoverable).
-/// Partitions are enforced by the mailbox's link filter on the same
-/// clock; a per-node watchdog (bounded-backoff anti-entropy, then
-/// timeout-abort of the deepest locally-homed abortable enclosing
-/// subtransaction) turns unservable waits into graceful degradation.
+/// full FaultPlan. M_i is the mailbox's retention buffer (written through
+/// to a RetentionLog under durable_dir). A crash wipes the node's
+/// volatile summary and terminates its thread between two passes; the
+/// supervisor joins it and, once the logical clock passes the rebirth
+/// stamp (or the whole system quiesces — liveness beats schedule
+/// fidelity), spawns a fresh thread whose loop replays M_i with one legal
+/// Receive. Partitions are enforced by the mailbox's link filter on the
+/// same clock.
 class ParallelRunner {
  public:
   ParallelRunner(const DistAlgebra& alg, const ParallelOptions& options)
       : alg_(alg),
         topo_(alg.topology()),
-        reg_(alg.registry()),
         options_(options),
         state_(alg.Initial()),
         mailbox_(topo_.k()),
         link_check_(options.plan),
-        children_(reg_.size()),
-        dead_(reg_.size(), 0),
-        workers_(topo_.k()),
-        live_lowering_(&alg.registry()) {
-    retry_enabled_ = options.plan.drop_prob > 0 ||
-                     !options.plan.crashes.empty() ||
-                     !options.plan.partitions.empty();
-  }
+        live_lowering_(&alg.registry()) {}
 
   StatusOr<ParallelRun> Run() {
-    RNT_RETURN_IF_ERROR(Validate());
+    RNT_RETURN_IF_ERROR(
+        ValidateLoopOptions(options_.propagation, topo_.k(), options_.plan));
+    auto plan = PlanProgram(alg_, options_.abort_set);
+    RNT_RETURN_IF_ERROR(plan.status());
+    plan_ = std::move(*plan);
     if (!options_.durable_dir.empty()) {
       // Durable M_i write-through: one append-only log per node. Opened
       // before any thread exists; appends happen on the owner thread
@@ -99,7 +80,18 @@ class ParallelRunner {
         retention_logs_[i] = std::move(*log);
       }
     }
-    Plan();
+    NodeLoop::Config config;
+    config.propagation = options_.propagation;
+    config.max_attempts_per_step = options_.max_attempts_per_step;
+    config.max_idle_spins = options_.max_idle_spins;
+    config.watchdog = options_.plan.drop_prob > 0 ||
+                      !options_.plan.crashes.empty() ||
+                      !options_.plan.partitions.empty();
+    config.keep_log = options_.record_events;
+    for (NodeId i = 0; i < topo_.k(); ++i) {
+      config.self = i;
+      nodes_.push_back(std::make_unique<NodeThread>(*this, config));
+    }
     if (!options_.plan.partitions.empty()) {
       // Link-level partition enforcement at the mailbox, judged on the
       // logical clock (loop passes are not rounds).
@@ -113,18 +105,6 @@ class ParallelRunner {
   }
 
  private:
-  struct ObjectWork {
-    ObjectId x = 0;
-    /// Live accesses on x in the DFS driver's perform order (the ticket
-    /// list); next is the cursor. Pinning per-object perform order to the
-    /// DFS order makes every wait point from a DFS-later access to a
-    /// DFS-earlier transaction — deadlock-free by the same argument as
-    /// the sequential driver, and value-for-value equivalent to it.
-    std::vector<ActionId> tickets;
-    std::size_t next = 0;
-    bool drained = false;
-  };
-
   /// Thread-lifecycle state of one node, for the crash/rebirth handshake
   /// with the supervisor. Written by the node thread (kCrashed/kFinished,
   /// release) and by the supervisor (kAwaitingRebirth after join,
@@ -136,130 +116,110 @@ class ParallelRunner {
     kFinished,         // thread returned for good
   };
 
-  struct Worker {
-    NodeId id = 0;
-    /// Local obligations, in DFS order (parents before children).
-    std::vector<ActionId> creates;
-    std::vector<ActionId> aborts;   // abort_set members homed here
-    std::vector<ActionId> commits;  // live inner actions homed here
-    std::vector<ObjectWork> objects;
-    std::size_t next_create = 0;
-    std::vector<char> done_flag;    // per obligation list entry
-    std::vector<char> created;      // by ActionId, local creations only
-    /// Knowledge-shipping state: version bumps on every local summary
-    /// change; per-peer frontiers (kDelta) or last-shipped versions
-    /// (kEager) decide what the next flush sends.
-    std::uint64_t version = 0;
-    std::vector<ActionSummary> shipped;
-    std::vector<std::uint64_t> shipped_version;
-    /// Receiver-side fault machinery: messages held back by a delay
-    /// verdict, and the per-node injector for outgoing transmissions.
-    std::vector<NodeMessage> held;
-    std::unique_ptr<faults::FaultInjector> injector;
-    std::uint64_t idle = 0;
-    std::uint64_t passes = 0;
-    bool marked_done = false;
-    bool gave_up = false;
-    /// Crash schedule for this node (by ascending trigger stamp) and the
-    /// rebirth handshake with the supervisor.
-    std::vector<faults::CrashSpec> crash_specs;
+  /// One node: its loop, the thread host's hooks, the per-node fault
+  /// injector for outgoing transmissions, and the crash schedule.
+  struct NodeThread final : NodeHost {
+    NodeThread(ParallelRunner& r, const NodeLoop::Config& config)
+        : runner(r),
+          id(config.self),
+          injector(SeededPlan(r.options_.plan, config.self)),
+          loop(r.alg_, r.state_, r.plan_, config, *this),
+          crash_specs(r.options_.plan.CrashesOf(id)) {}
+
+    Status Record(const DistEvent& e, std::uint64_t* stamp) override {
+      return runner.Record(e, stamp);
+    }
+
+    /// M_i in memory, then written through to the on-disk log (no-op
+    /// without durable_dir), so disk M_i trails memory by at most the
+    /// entries of the current call.
+    Status Retain(const ActionSummary& payload) override {
+      runner.mailbox_.Retain(id, payload);
+      if (runner.retention_logs_.empty()) return Status::Ok();
+      for (const auto& [a, s] : payload.entries()) {
+        RNT_RETURN_IF_ERROR(runner.retention_logs_[id]->Append(a, s));
+      }
+      return Status::Ok();
+    }
+
+    /// Pushes one transmission through the (possibly chaotic) concurrent
+    /// buffer. round = -1: the free-running loop has no rounds, so the
+    /// injector's round-window partition check is disabled; partitions
+    /// are enforced link-level by the mailbox filter on the logical clock
+    /// instead. The fixed-draw contract is untouched (draw count never
+    /// depends on the round).
+    void Send(NodeId to, ActionSummary payload) override {
+      faults::FaultInjector::Verdict v =
+          injector.OnMessage(id, to, /*round=*/-1);
+      DriverStats& stats = loop.stats();
+      if (v.drop) {
+        ++stats.dropped_msgs;
+        return;
+      }
+      if (v.duplicate_delay >= 0) {
+        ++stats.duplicated_msgs;
+        if (!runner.transport_.Send(
+                to, TransportMessage{id, payload,
+                                     std::max(1, v.duplicate_delay), 0})) {
+          ++stats.dropped_msgs;  // severed link: the network ate it
+        }
+      }
+      if (!runner.transport_.Send(
+              to, TransportMessage{id, std::move(payload), v.delay, 0})) {
+        ++stats.dropped_msgs;
+      }
+    }
+
+    std::vector<TransportMessage> Poll() override {
+      if (runner.transport_.Idle(id)) return {};
+      return runner.transport_.Poll(id);
+    }
+
+    void OnDone() override {
+      runner.done_nodes_.fetch_add(1, std::memory_order_acq_rel);
+    }
+
+    bool AllDone() override {
+      return runner.done_nodes_.load(std::memory_order_acquire) ==
+             runner.topo_.k();
+    }
+
+    /// A crash is due once the logical clock reaches the next trigger; the
+    /// loop then stops between two passes.
+    bool Halted() override {
+      if (runner.failed_.load(std::memory_order_acquire)) return true;
+      crash_due = next_crash < crash_specs.size() &&
+                  static_cast<std::int64_t>(runner.seq_.load(
+                      std::memory_order_acquire)) >=
+                      crash_specs[next_crash].TriggerStamp();
+      return crash_due;
+    }
+
+    void Tick() override {
+      runner.seq_.fetch_add(1, std::memory_order_acq_rel);
+    }
+
+    bool Pace(bool progress) override {
+      if (!progress) std::this_thread::yield();
+      return true;
+    }
+
+    static faults::FaultPlan SeededPlan(faults::FaultPlan plan, NodeId i) {
+      plan.seed = plan.seed * 1000003u + 17u * i + 1u;
+      return plan;
+    }
+
+    ParallelRunner& runner;
+    const NodeId id;
+    faults::FaultInjector injector;
+    NodeLoop loop;
+    /// Crash schedule and the rebirth handshake with the supervisor.
+    const std::vector<faults::CrashSpec> crash_specs;
     std::size_t next_crash = 0;
+    bool crash_due = false;
     std::int64_t rebirth_stamp = 0;
     std::atomic<int> exit_state{kRunning};
-    /// Watchdog: unproductive anti-entropy retries since the last local
-    /// progress, and the idle count at which the next retry fires.
-    int attempts = 0;
-    std::uint64_t next_retry_idle = 0;
-    DriverStats stats;
-    std::vector<std::pair<std::uint64_t, DistEvent>> log;
   };
-
-  Status Validate() const {
-    for (ActionId a : options_.abort_set) {
-      if (!reg_.Valid(a) || reg_.IsAccess(a) || a == kRootAction) {
-        return Status::InvalidArgument(
-            "abort_set must contain registered non-access actions");
-      }
-    }
-    if (options_.propagation == Propagation::kLazy) {
-      return Status::InvalidArgument(
-          "parallel runner is reactive: use kDelta or kEager propagation");
-    }
-    RNT_RETURN_IF_ERROR(faults::ValidatePlan(options_.plan, topo_.k()));
-    return Status::Ok();
-  }
-
-  /// Precomputes per-node obligation lists and per-object ticket lists
-  /// from one DFS walk of the universal tree (children in id order —
-  /// exactly the sequential driver's schedule).
-  void Plan() {
-    for (ActionId a = 1; a < reg_.size(); ++a) {
-      children_[reg_.Parent(a)].push_back(a);
-    }
-    const NodeId k = topo_.k();
-    for (NodeId i = 0; i < k; ++i) {
-      Worker& w = workers_[i];
-      w.id = i;
-      w.created.assign(reg_.size(), 0);
-      w.shipped.resize(k);
-      w.shipped_version.assign(k, 0);
-      faults::FaultPlan plan = options_.plan;
-      plan.seed = plan.seed * 1000003u + 17u * i + 1u;
-      w.injector = std::make_unique<faults::FaultInjector>(plan);
-      for (const faults::CrashSpec& c : options_.plan.crashes) {
-        if (c.node == i) w.crash_specs.push_back(c);
-      }
-      std::sort(w.crash_specs.begin(), w.crash_specs.end(),
-                [](const faults::CrashSpec& a, const faults::CrashSpec& b) {
-                  return a.TriggerStamp() < b.TriggerStamp();
-                });
-      w.next_retry_idle =
-          static_cast<std::uint64_t>(std::max(1, options_.stall_retry_spins));
-    }
-    std::map<ObjectId, std::vector<ActionId>> tickets;
-    // DFS: schedule creates/aborts/commits/tickets; abort_set subtrees
-    // are pruned (their descendants are dead — never created anywhere).
-    std::vector<std::pair<ActionId, bool>> stack;  // (action, expanded)
-    for (auto it = children_[kRootAction].rbegin();
-         it != children_[kRootAction].rend(); ++it) {
-      stack.emplace_back(*it, false);
-    }
-    while (!stack.empty()) {
-      auto [a, expanded] = stack.back();
-      stack.pop_back();
-      if (expanded) {
-        workers_[topo_.HomeOfAction(a)].commits.push_back(a);
-        continue;
-      }
-      workers_[topo_.Origin(a)].creates.push_back(a);
-      if (reg_.IsAccess(a)) {
-        tickets[reg_.Object(a)].push_back(a);
-        continue;
-      }
-      if (options_.abort_set.count(a)) {
-        workers_[topo_.HomeOfAction(a)].aborts.push_back(a);
-        for (ActionId d = 1; d < reg_.size(); ++d) {
-          if (reg_.IsProperAncestor(a, d)) dead_[d] = 1;
-        }
-        continue;  // subtree pruned
-      }
-      stack.emplace_back(a, true);  // commit after the subtree
-      for (auto it = children_[a].rbegin(); it != children_[a].rend(); ++it) {
-        stack.emplace_back(*it, false);
-      }
-    }
-    for (auto& [x, list] : tickets) {
-      ObjectWork ow;
-      ow.x = x;
-      ow.tickets = std::move(list);
-      workers_[topo_.HomeOfObject(x)].objects.push_back(std::move(ow));
-    }
-    // Objects may also carry locks without appearing in tickets (never:
-    // locks only arise from performs) — ticket objects suffice for drain.
-    for (Worker& w : workers_) {
-      w.done_flag.assign(w.aborts.size() + w.commits.size(), 0);
-    }
-  }
 
   // ----------------------------------------------------------------
   // Supervisor: spawns node threads, joins crashed ones, and rebirths
@@ -269,9 +229,9 @@ class ParallelRunner {
     const NodeId k = topo_.k();
     std::vector<std::thread> threads(k);
     auto spawn = [&](NodeId i, bool recover) {
-      workers_[i].exit_state.store(kRunning, std::memory_order_release);
+      nodes_[i]->exit_state.store(kRunning, std::memory_order_release);
       threads[i] =
-          std::thread([this, i, recover] { RunNode(workers_[i], recover); });
+          std::thread([this, i, recover] { RunNode(*nodes_[i], recover); });
     };
     for (NodeId i = 0; i < k; ++i) spawn(i, /*recover=*/false);
     std::uint64_t last_seq = seq_.load(std::memory_order_acquire);
@@ -285,7 +245,7 @@ class ParallelRunner {
       bool awaiting = false;
       bool others_live = false;
       for (NodeId i = 0; i < k; ++i) {
-        Worker& w = workers_[i];
+        NodeThread& w = *nodes_[i];
         int st = w.exit_state.load(std::memory_order_acquire);
         if (st == kCrashed) {
           threads[i].join();
@@ -309,7 +269,7 @@ class ParallelRunner {
         const bool force =
             failed || !others_live || quiet_polls >= kQuiescentPolls;
         for (NodeId i = 0; i < k; ++i) {
-          Worker& w = workers_[i];
+          NodeThread& w = *nodes_[i];
           if (w.exit_state.load(std::memory_order_relaxed) !=
               kAwaitingRebirth) {
             continue;
@@ -341,292 +301,59 @@ class ParallelRunner {
     return Assemble();
   }
 
-  // ----------------------------------------------------------------
-  // Per-node event loop.
-
-  void RunNode(Worker& w, bool recover) {
-    if (recover) Recover(w);
-    const NodeId k = topo_.k();
-    while (!failed_.load(std::memory_order_acquire)) {
-      if (w.next_crash < w.crash_specs.size() &&
-          static_cast<std::int64_t>(seq_.load(std::memory_order_acquire)) >=
-              w.crash_specs[w.next_crash].TriggerStamp()) {
-        Crash(w);
-        return;  // mid-loop thread termination; supervisor rebirths us
-      }
-      ++w.passes;
-      bool progress = false;
-      progress |= DeliverMail(w);
-      progress |= TryCreates(w);
-      progress |= TryAborts(w);
-      progress |= TryObjects(w);
-      progress |= TryCommits(w);
-      if (!w.marked_done && LocalDone(w)) {
-        w.marked_done = true;
-        done_nodes_.fetch_add(1, std::memory_order_acq_rel);
-        progress = true;
-      }
-      Flush(w);
-      if (done_nodes_.load(std::memory_order_acquire) == k) break;
-      if (progress) {
-        w.idle = 0;
-        w.attempts = 0;
-        w.next_retry_idle = static_cast<std::uint64_t>(
-            std::max(1, options_.stall_retry_spins));
-      } else {
-        ++w.idle;
-        if (retry_enabled_ && options_.stall_retry_spins > 0 &&
-            w.idle >= w.next_retry_idle) {
-          Watchdog(w);
-        }
-        if (w.idle > options_.max_idle_spins && !w.marked_done) {
-          w.gave_up = true;  // abandon; others may still finish
-          w.marked_done = true;
-          done_nodes_.fetch_add(1, std::memory_order_acq_rel);
-        }
-        std::this_thread::yield();
-      }
+  /// One node thread: rebirth first when `recover`, then the loop until
+  /// it ends. A crash hands the thread back to the supervisor after
+  /// wiping the loop's volatile state.
+  void RunNode(NodeThread& w, bool recover) {
+    Status s = recover ? Rebirth(w) : Status::Ok();
+    if (s.ok()) s = w.loop.Run();
+    if (!s.ok()) Fail(std::move(s));
+    if (w.crash_due) {
+      const faults::CrashSpec& spec = w.crash_specs[w.next_crash];
+      ++w.next_crash;
+      w.crash_due = false;
+      w.loop.Crash();
+      w.rebirth_stamp = spec.RebirthStamp();
+      w.exit_state.store(kCrashed, std::memory_order_release);
+      return;  // the supervisor rebirths us
     }
     w.exit_state.store(kFinished, std::memory_order_release);
   }
 
-  /// One watchdog firing: an anti-entropy full-summary re-broadcast (a
-  /// dropped delta is gone for good; a healed partition needs a resend),
-  /// a logical-clock heartbeat so stamp-based rebirths and partition
-  /// heals stay live while every thread idles, and — past the escalation
-  /// threshold — a timeout-abort. Backoff is bounded-exponential in idle
-  /// passes (shift capped at 5), the chaos driver's policy transplanted
-  /// into the free-running loop.
-  void Watchdog(Worker& w) {
-    ++w.stats.retries;
-    ++w.attempts;
-    seq_.fetch_add(1, std::memory_order_acq_rel);  // heartbeat tick
-    FullBroadcast(w);
-    if (!w.marked_done && w.attempts > options_.max_attempts_per_step) {
-      if (TimeoutAbort(w)) w.attempts = 0;
-    }
-    const std::uint64_t base = static_cast<std::uint64_t>(
-        std::max(1, options_.stall_retry_spins));
-    w.next_retry_idle = w.idle + (base << std::min(w.attempts, 5));
-  }
-
-  /// Crash: wipe the volatile summary (the durable value map — the lock
-  /// table for objects homed here — and the mailbox retention buffer M_i
-  /// survive), drop receiver-side held messages (volatile), and hand the
-  /// thread back to the supervisor for rebirth.
-  void Crash(Worker& w) {
-    const faults::CrashSpec& spec = w.crash_specs[w.next_crash];
-    ++w.next_crash;
-    state_.nodes[w.id].summary = ActionSummary{};
-    w.held.clear();
-    w.rebirth_stamp = spec.RebirthStamp();
-    ++w.stats.crashes;
-    w.exit_state.store(kCrashed, std::memory_order_release);
-  }
-
-  /// Rebirth: buffer replay is one legal Receive of the durable M_i
-  /// (paper §9.1 — "all information ever sent toward i"), after which the
-  /// obligation cursors are reconstructed from the recovered knowledge
-  /// and the durable lock table. A performed access carries committed
-  /// status in the summary (effect (d21)), so the per-object ticket
-  /// cursor is exactly the first not-yet-committed live ticket.
-  void Recover(Worker& w) {
+  /// Rebirth from the mailbox's M_i. With durable_dir, the on-disk log is
+  /// re-read first and must cover everything the in-memory M_i holds —
+  /// write-through happened before this thread died, so a process restart
+  /// would have recovered at least this knowledge.
+  Status Rebirth(NodeThread& w) {
     const ActionSummary& m = mailbox_.Retained(w.id);
     if (!retention_logs_.empty()) {
-      // Recover-from-disk audit: the on-disk log, re-read and merged
-      // monotonically, must cover everything the in-memory M_i holds —
-      // write-through happened before this thread ever died, so a
-      // process restart would have recovered at least this knowledge.
-      auto loaded =
-          storage::RetentionLog::Load(options_.durable_dir, w.id);
-      if (!loaded.ok()) {
-        Fail(loaded.status());
-        return;
-      }
+      auto loaded = storage::RetentionLog::Load(options_.durable_dir, w.id);
+      RNT_RETURN_IF_ERROR(loaded.status());
       if (!m.IsSubsummaryOf(*loaded)) {
-        Fail(Status::Internal(
+        return Status::Internal(
             "parallel runner: durable retention log for node " +
             std::to_string(w.id) +
-            " does not cover the in-memory M_i (write-through broken)"));
-        return;
+            " does not cover the in-memory M_i (write-through broken)");
       }
     }
-    if (!m.empty()) {
-      DistEvent recv{dist::Receive{w.id, m}};
-      if (!alg_.Defined(state_, recv)) {
-        // Retention is built from exactly the Send payloads recorded
-        // toward us, so this would mean the WAL discipline is broken.
-        Fail(Status::Internal(
-            "parallel runner: rebirth replay is not a legal Receive"));
-        return;
-      }
-      alg_.Apply(state_, recv);
-      Record(w, std::move(recv));
-    }
-    ++w.stats.recovered_nodes;
-    ++w.version;
-    const ActionSummary& t = state_.nodes[w.id].summary;
-    for (ActionId a : w.creates) {
-      w.created[a] =
-          (t.Contains(a) || LocallyDead(reg_, t, a)) ? 1 : 0;
-    }
-    w.next_create = 0;
-    while (w.next_create < w.creates.size() &&
-           w.created[w.creates[w.next_create]]) {
-      ++w.next_create;
-    }
-    for (std::size_t i = 0; i < w.aborts.size(); ++i) {
-      w.done_flag[i] = t.IsAborted(w.aborts[i]) ? 1 : 0;
-    }
-    for (std::size_t i = 0; i < w.commits.size(); ++i) {
-      w.done_flag[w.aborts.size() + i] = t.IsDone(w.commits[i]) ? 1 : 0;
-    }
-    for (ObjectWork& ow : w.objects) {
-      ow.next = 0;
-      while (ow.next < ow.tickets.size() &&
-             (t.IsCommitted(ow.tickets[ow.next]) ||
-              LocallyDead(reg_, t, ow.tickets[ow.next]))) {
-        ++ow.next;
-      }
-      ow.drained = false;  // re-walk the durable lock table
-    }
-    w.idle = 0;
-    w.attempts = 0;
-    w.next_retry_idle =
-        static_cast<std::uint64_t>(std::max(1, options_.stall_retry_spins));
+    return w.loop.Rebirth(m);
   }
 
-  /// The chaos driver's timeout-abort, transplanted: after the watchdog
-  /// exhausts its retries, abort the deepest abortable enclosing
-  /// subtransaction *homed on this node* — first among a stuck lock
-  /// holder's ancestors (freeing the lock via the lose-lock path), then
-  /// on the node's own pending commit path (orphaning the stuck subtree,
-  /// which the orphan machinery must keep consistent). Only locally
-  /// homed actions are eligible: thread ownership of node components is
-  /// the runner's race-freedom invariant, and a remote abort would break
-  /// it. Counted in stats.timeout_aborts.
-  bool TimeoutAbort(Worker& w) {
-    const ActionSummary& t = state_.nodes[w.id].summary;
-    for (ObjectWork& ow : w.objects) {  // stuck lock holders first
-      if (ow.next >= ow.tickets.size()) continue;
-      ActionId requester = ow.tickets[ow.next];
-      if (!t.IsActive(requester)) continue;
-      const auto* entry = state_.nodes[w.id].vmap.EntriesFor(ow.x);
-      if (entry == nullptr) continue;
-      for (const auto& [b, v] : *entry) {
-        if (b == kRootAction || reg_.IsProperAncestor(b, requester)) continue;
-        if (LocallyDead(reg_, t, b) || t.IsCommitted(b)) break;  // walkable
-        if (AbortAncestorHomedHere(w, b, requester)) return true;
-        break;
-      }
-    }
-    // Own path: commits are in DFS post-order, so the first pending
-    // entry is the deepest unfinished subtransaction homed here.
-    for (std::size_t i = 0; i < w.commits.size(); ++i) {
-      const std::size_t flag = w.aborts.size() + i;
-      if (w.done_flag[flag]) continue;
-      ActionId a = w.commits[i];
-      if (!t.IsActive(a)) continue;
-      if (!ApplyNodeEvent(w, DistEvent{dist::NodeAbort{w.id, a}})) {
-        return false;
-      }
-      w.done_flag[flag] = 1;
-      ++w.stats.timeout_aborts;
-      return true;
-    }
-    return false;
-  }
-
-  /// Aborts the deepest non-access ancestor of `blocker` that is homed
-  /// here, active, and not an ancestor of `requester` (a blocked step
-  /// never shoots down its own transaction from here).
-  bool AbortAncestorHomedHere(Worker& w, ActionId blocker,
-                              ActionId requester) {
-    const ActionSummary& t = state_.nodes[w.id].summary;
-    for (ActionId c : reg_.AncestorChain(blocker)) {
-      if (c == kRootAction || reg_.IsAccess(c)) continue;
-      if (reg_.IsAncestor(c, requester)) continue;
-      if (topo_.HomeOfAction(c) != w.id) continue;
-      if (!t.IsActive(c)) continue;
-      if (!ApplyNodeEvent(w, DistEvent{dist::NodeAbort{w.id, c}})) {
-        return false;
-      }
-      for (std::size_t i = 0; i < w.commits.size(); ++i) {
-        if (w.commits[i] == c) {
-          w.done_flag[w.aborts.size() + i] = 1;
-          break;
-        }
-      }
-      ++w.stats.timeout_aborts;
-      return true;
-    }
-    return false;
-  }
-
-  /// Applies one node event on its owning thread: Defined is checked
-  /// against the doer's own component only, so the check is race-free.
-  /// Summary-changing events (create/commit/abort/perform) are followed
-  /// by a WAL append — a one-entry self-send into the mailbox's durable
-  /// retention buffer — so M_i stays a superset of node i's volatile
-  /// knowledge and a crash can be recovered by buffer replay.
-  bool ApplyNodeEvent(Worker& w, DistEvent e) {
-    ActionId wal_a = kInvalidAction;
-    action::ActionStatus wal_s = action::ActionStatus::kActive;
-    if (const auto* c = std::get_if<dist::NodeCreate>(&e)) {
-      wal_a = c->a;
-    } else if (const auto* c = std::get_if<dist::NodeCommit>(&e)) {
-      wal_a = c->a;
-      wal_s = action::ActionStatus::kCommitted;
-    } else if (const auto* c = std::get_if<dist::NodeAbort>(&e)) {
-      wal_a = c->a;
-      wal_s = action::ActionStatus::kAborted;
-    } else if (const auto* p = std::get_if<dist::NodePerform>(&e)) {
-      wal_a = p->a;  // effect (d21) sets the access committed
-      wal_s = action::ActionStatus::kCommitted;
-    }
-    if (!alg_.Defined(state_, e)) {
-      Fail(Status::Internal("parallel runner: event unexpectedly undefined: " +
-                            dist::ToString(e)));
-      return false;
-    }
-    alg_.Apply(state_, e);
-    ++w.stats.node_events;
-    ++w.version;
-    Record(w, std::move(e));
-    if (wal_a != kInvalidAction) WalAppend(w, wal_a, wal_s);
-    return true;
-  }
-
-  /// WAL discipline: one-entry self-send after a summary change. The
-  /// entry is retained on the durable device and recorded in the log as
-  /// Send{i, i, entry}, so the replayed computation's buffer M_i matches
-  /// the retention buffer a rebirth replays.
-  void WalAppend(Worker& w, ActionId a, action::ActionStatus s) {
-    ActionSummary entry;
-    entry.AddActive(a);
-    if (s != action::ActionStatus::kActive) entry.SetStatus(a, s);
-    mailbox_.Retain(w.id, entry);
-    RetainDurable(w.id, entry);
-    DistEvent send{dist::Send{w.id, w.id, std::move(entry)}};
-    // Always defined: the entry was just installed in our own summary
-    // (precondition (g11), payload <= sender's knowledge).
-    alg_.Apply(state_, send);  // merge into buffer M_i (g21)
-    Record(w, std::move(send));
-  }
-
-  void Record(Worker& w, DistEvent e) {
+  /// Stamp and record (NodeHost::Record for every node thread). Without a
+  /// live sink this is one relaxed RMW. With one, the stamp, the lowering,
+  /// and the sink Append form one critical section, so the live stream's
+  /// order is exactly the stamp order a post-hoc replay of the merged log
+  /// walks — the live verdict and the post-hoc verdict judge the same
+  /// sequence.
+  Status Record(const DistEvent& e, std::uint64_t* stamp) {
     if (options_.live_sink == nullptr) {
-      if (!options_.record_events) return;
-      w.log.emplace_back(seq_.fetch_add(1, std::memory_order_relaxed),
-                         std::move(e));
-      return;
+      if (options_.record_events) {
+        *stamp = seq_.fetch_add(1, std::memory_order_relaxed);
+      }
+      return Status::Ok();
     }
-    // Live certification path: the stamp, the lowering, and the sink
-    // Append form one critical section, so the live stream's order is
-    // exactly the stamp order a post-hoc replay of the merged log walks —
-    // the live verdict and the post-hoc verdict judge the same sequence.
     MutexLock lock(live_mu_);
-    const std::uint64_t stamp = seq_.fetch_add(1, std::memory_order_relaxed);
+    *stamp = seq_.fetch_add(1, std::memory_order_relaxed);
     if (auto image = dist::DistToValueEvent(e)) {
       if (auto tree_ev = algebra::LockToTreeEvent(*image)) {
         if (auto trace_ev = live_lowering_.Lower(*tree_ev)) {
@@ -634,22 +361,7 @@ class ParallelRunner {
         }
       }
     }
-    if (options_.record_events) w.log.emplace_back(stamp, std::move(e));
-  }
-
-  /// Writes `payload` through to node `node`'s on-disk retention log
-  /// (no-op without durable_dir). Runs on the node's owner thread, right
-  /// where the in-memory Retain happened, so disk M_i trails memory by at
-  /// most the entries of the current call.
-  void RetainDurable(NodeId node, const ActionSummary& payload) {
-    if (retention_logs_.empty()) return;
-    for (const auto& [a, s] : payload.entries()) {
-      const Status w = retention_logs_[node]->Append(a, s);
-      if (!w.ok()) {
-        Fail(w);
-        return;
-      }
-    }
+    return Status::Ok();
   }
 
   void Fail(Status s) {
@@ -661,340 +373,56 @@ class ParallelRunner {
     }
   }
 
-  /// Drains the mailbox and applies Send (merge into own buffer M_i) +
-  /// Receive (merge into own summary) per delivered message; messages
-  /// under a delay verdict are held for later passes (reordering).
-  bool DeliverMail(Worker& w) {
-    bool progress = false;
-    std::vector<NodeMessage> due;
-    for (NodeMessage& m : w.held) {
-      if (--m.delay <= 0) {
-        due.push_back(std::move(m));
-      }
-    }
-    std::erase_if(w.held, [](const NodeMessage& m) { return m.delay <= 0; });
-    if (!transport_.Idle(w.id)) {
-      for (TransportMessage& m : transport_.Poll(w.id)) {
-        if (m.delay > 0) {
-          ++w.stats.delayed_msgs;
-          w.held.push_back(NodeMessage{m.from, std::move(m.summary), m.delay});
-        } else {
-          due.push_back(NodeMessage{m.from, std::move(m.summary), m.delay});
-        }
-      }
-    }
-    for (NodeMessage& m : due) {
-      ++w.stats.messages;
-      w.stats.summary_entries += m.summary.size();
-      Record(w, DistEvent{dist::Send{m.from, w.id, m.summary}});
-      state_.buffer[w.id].MergeFrom(m.summary);  // (g21), on the receiver
-      // Durable retention: the delivered payload joins M_i on the device,
-      // exactly in step with the recorded Send (so a rebirth's replay
-      // Receive is legal at its point in the merged log).
-      mailbox_.Retain(w.id, m.summary);
-      RetainDurable(w.id, m.summary);
-      Record(w, DistEvent{dist::Receive{w.id, m.summary}});
-      // The sender certainly knows what it sent: advancing our frontier
-      // for it suppresses echo traffic.
-      w.shipped[m.from].MergeFrom(m.summary);
-      if (state_.nodes[w.id].summary.MergeFrom(std::move(m.summary))) {
-        ++w.version;
-        progress = true;
-      }
-    }
-    return progress;
-  }
-
-  bool TryCreates(Worker& w) {
-    const ActionSummary& t = state_.nodes[w.id].summary;
-    bool progress = false;
-    // Creates are in DFS order, so a blocked parent blocks its (local)
-    // descendants too; scan past blocked entries anyway — different
-    // subtrees interleave on one node.
-    for (std::size_t idx = w.next_create; idx < w.creates.size(); ++idx) {
-      ActionId a = w.creates[idx];
-      if (w.created[a]) continue;
-      if (LocallyDead(reg_, t, a)) {
-        // A timeout-abort killed an enclosing subtransaction: the create
-        // obligation is resolved by never running (the subtree is dead).
-        w.created[a] = 1;
-        progress = true;
-        continue;
-      }
-      ActionId p = reg_.Parent(a);
-      if (p != kRootAction && (!t.Contains(p) || t.IsCommitted(p))) continue;
-      if (!ApplyNodeEvent(w, DistEvent{dist::NodeCreate{w.id, a}})) {
-        return progress;
-      }
-      w.created[a] = 1;
-      progress = true;
-    }
-    while (w.next_create < w.creates.size() &&
-           w.created[w.creates[w.next_create]]) {
-      ++w.next_create;
-    }
-    return progress;
-  }
-
-  bool TryAborts(Worker& w) {
-    bool progress = false;
-    if (w.done_flag.empty()) {
-      // done flags: one vector spanning aborts then commits.
-      w.done_flag.assign(w.aborts.size() + w.commits.size(), 0);
-    }
-    for (std::size_t i = 0; i < w.aborts.size(); ++i) {
-      if (w.done_flag[i]) continue;
-      ActionId a = w.aborts[i];
-      if (!state_.nodes[w.id].summary.IsActive(a)) continue;
-      if (!ApplyNodeEvent(w, DistEvent{dist::NodeAbort{w.id, a}})) {
-        return progress;
-      }
-      w.done_flag[i] = 1;
-      ++w.stats.aborts;
-      progress = true;
-    }
-    return progress;
-  }
-
-  bool TryCommits(Worker& w) {
-    if (w.done_flag.empty()) {
-      w.done_flag.assign(w.aborts.size() + w.commits.size(), 0);
-    }
-    const ActionSummary& t = state_.nodes[w.id].summary;
-    bool progress = false;
-    for (std::size_t i = 0; i < w.commits.size(); ++i) {
-      std::size_t flag = w.aborts.size() + i;
-      if (w.done_flag[flag]) continue;
-      ActionId a = w.commits[i];
-      if (!t.IsActive(a)) continue;
-      // Stronger than ℬ's (b12): every live child must be *created* (all
-      // of a's children are created on this very node, so this is a local
-      // check) and *done* in local knowledge — the same strengthening the
-      // chaos driver documents, needed for the level-4 image.
-      bool ready = true;
-      for (ActionId c : children_[a]) {
-        if (dead_[c]) continue;
-        if (!w.created[c] || !t.IsDone(c)) {
-          ready = false;
-          break;
-        }
-      }
-      if (!ready) continue;
-      if (!ApplyNodeEvent(w, DistEvent{dist::NodeCommit{w.id, a}})) {
-        return progress;
-      }
-      w.done_flag[flag] = 1;
-      ++w.stats.commits;
-      progress = true;
-    }
-    return progress;
-  }
-
-  /// Performs the ticket-head access of each local object once its lock
-  /// chain clears, walking blockers (release committed / lose dead) as
-  /// far as local knowledge allows; after the last ticket, drains the
-  /// object's locks to the root U the same way.
-  bool TryObjects(Worker& w) {
-    bool progress = false;
-    for (ObjectWork& ow : w.objects) {
-      if (ow.next < ow.tickets.size()) {
-        ActionId a = ow.tickets[ow.next];
-        if (LocallyDead(reg_, state_.nodes[w.id].summary, a)) {
-          // Orphaned ticket (enclosing subtransaction timeout-aborted):
-          // it will never perform — skip it so the queue keeps moving.
-          ++ow.next;
-          progress = true;
-          continue;
-        }
-        if (!state_.nodes[w.id].summary.IsActive(a)) continue;
-        if (!WalkLocks(w, ow.x, a, &progress)) continue;  // still blocked
-        Value u = state_.nodes[w.id].vmap.PrincipalValue(ow.x, reg_);
-        if (!ApplyNodeEvent(w, DistEvent{dist::NodePerform{w.id, a, u}})) {
-          return progress;
-        }
-        ++w.stats.performs;
-        ++ow.next;
-        progress = true;
-      } else if (!ow.drained) {
-        if (WalkLocks(w, ow.x, kInvalidAction, &progress)) {
-          ow.drained = true;
-          progress = true;
-        }
-      }
-    }
-    return progress;
-  }
-
-  /// Walks blocking locks on x as far as local knowledge allows. Returns
-  /// true when no blocker remains for `requester` (kInvalidAction: for
-  /// anything but the root). Sets *progress on each applied walk event.
-  bool WalkLocks(Worker& w, ObjectId x, ActionId requester, bool* progress) {
-    const ActionSummary& t = state_.nodes[w.id].summary;
-    for (;;) {
-      const auto* entry = state_.nodes[w.id].vmap.EntriesFor(x);
-      if (entry == nullptr) return true;
-      ActionId blocker = kInvalidAction;
-      for (const auto& [b, v] : *entry) {
-        if (b != kRootAction &&
-            (requester == kInvalidAction ||
-             !reg_.IsProperAncestor(b, requester))) {
-          blocker = b;
-          break;
-        }
-      }
-      if (blocker == kInvalidAction) return true;
-      if (LocallyDead(reg_, t, blocker)) {
-        if (!ApplyNodeEvent(w,
-                            DistEvent{dist::NodeLoseLock{w.id, blocker, x}})) {
-          return false;
-        }
-        ++w.stats.loses;
-        *progress = true;
-      } else if (t.IsCommitted(blocker)) {
-        if (!ApplyNodeEvent(
-                w, DistEvent{dist::NodeReleaseLock{w.id, blocker, x}})) {
-          return false;
-        }
-        ++w.stats.releases;
-        *progress = true;
-      } else {
-        return false;  // knowledge not here yet; broadcasts will bring it
-      }
-    }
-  }
-
-  bool LocalDone(const Worker& w) {
-    if (w.next_create < w.creates.size()) return false;
-    if (w.done_flag.size() < w.aborts.size() + w.commits.size()) {
-      return w.aborts.empty() && w.commits.empty() && w.objects.empty();
-    }
-    for (char f : w.done_flag) {
-      if (!f) return false;
-    }
-    for (const ObjectWork& ow : w.objects) {
-      if (ow.next < ow.tickets.size() || !ow.drained) return false;
-    }
-    return true;
-  }
-
-  // ----------------------------------------------------------------
-  // Knowledge shipping.
-
-  /// Ships pending knowledge to every peer. Under kDelta only the entries
-  /// beyond the per-peer frontier travel — everything that accumulated
-  /// since the last flush coalesces into a single message per peer.
-  void Flush(Worker& w) {
-    const NodeId k = topo_.k();
-    const ActionSummary& t = state_.nodes[w.id].summary;
-    if (t.empty()) return;
-    for (NodeId j = 0; j < k; ++j) {
-      if (j == w.id) continue;
-      if (options_.propagation == Propagation::kDelta) {
-        ActionSummary delta = t.DeltaSince(w.shipped[j]);
-        if (delta.empty()) continue;
-        w.shipped[j].MergeFrom(delta);
-        Transmit(w, j, std::move(delta));
-      } else {  // kEager: full summary whenever anything changed
-        if (w.shipped_version[j] == w.version) continue;
-        w.shipped_version[j] = w.version;
-        Transmit(w, j, t);
-      }
-    }
-  }
-
-  void FullBroadcast(Worker& w) {
-    const ActionSummary& t = state_.nodes[w.id].summary;
-    if (t.empty()) return;
-    for (NodeId j = 0; j < topo_.k(); ++j) {
-      if (j != w.id) Transmit(w, j, t);
-    }
-  }
-
-  /// Pushes one transmission through the (possibly chaotic) concurrent
-  /// buffer. The Send event itself is applied — and stamped — on the
-  /// receiving thread at drain time; a dropped transmission therefore
-  /// never becomes an event at all, exactly like the chaos driver's
-  /// lost-before-the-buffer semantics.
-  void Transmit(Worker& w, NodeId to, ActionSummary payload) {
-    // round = -1: the free-running loop has no rounds, so the injector's
-    // round-window partition check is disabled; partitions are enforced
-    // link-level by the mailbox filter on the logical clock instead. The
-    // fixed-draw contract is untouched (draw count never depends on the
-    // round).
-    faults::FaultInjector::Verdict v =
-        w.injector->OnMessage(w.id, to, /*round=*/-1);
-    if (v.drop) {
-      ++w.stats.dropped_msgs;
-      return;
-    }
-    if (v.duplicate_delay >= 0) {
-      ++w.stats.duplicated_msgs;
-      if (!transport_.Send(to, TransportMessage{w.id, payload,
-                                                std::max(1, v.duplicate_delay),
-                                                0})) {
-        ++w.stats.dropped_msgs;  // severed link: the network ate it
-      }
-    }
-    if (!transport_.Send(to,
-                         TransportMessage{w.id, std::move(payload), v.delay,
-                                          0})) {
-      ++w.stats.dropped_msgs;
-    }
-  }
-
-  // ----------------------------------------------------------------
-
   StatusOr<ParallelRun> Assemble() {
     ParallelRun run;
     run.final_state = std::move(state_);
     std::size_t total = 0;
-    for (Worker& w : workers_) {
-      run.stats.node_events += w.stats.node_events;
-      run.stats.messages += w.stats.messages;
-      run.stats.summary_entries += w.stats.summary_entries;
-      run.stats.performs += w.stats.performs;
-      run.stats.commits += w.stats.commits;
-      run.stats.aborts += w.stats.aborts;
-      run.stats.releases += w.stats.releases;
-      run.stats.loses += w.stats.loses;
-      run.stats.retries += w.stats.retries;
-      run.stats.crashes += w.stats.crashes;
-      run.stats.recovered_nodes += w.stats.recovered_nodes;
-      run.stats.timeout_aborts += w.stats.timeout_aborts;
-      run.stats.dropped_msgs += w.stats.dropped_msgs;
-      run.stats.duplicated_msgs += w.stats.duplicated_msgs;
-      run.stats.delayed_msgs += w.stats.delayed_msgs;
+    for (const std::unique_ptr<NodeThread>& w : nodes_) {
+      const DriverStats& s = w->loop.stats();
+      run.stats.node_events += s.node_events;
+      run.stats.messages += s.messages;
+      run.stats.summary_entries += s.summary_entries;
+      run.stats.performs += s.performs;
+      run.stats.commits += s.commits;
+      run.stats.aborts += s.aborts;
+      run.stats.releases += s.releases;
+      run.stats.loses += s.loses;
+      run.stats.retries += s.retries;
+      run.stats.crashes += s.crashes;
+      run.stats.recovered_nodes += s.recovered_nodes;
+      run.stats.timeout_aborts += s.timeout_aborts;
+      run.stats.dropped_msgs += s.dropped_msgs;
+      run.stats.duplicated_msgs += s.duplicated_msgs;
+      run.stats.delayed_msgs += s.delayed_msgs;
       run.stats.rounds = std::max(run.stats.rounds,
                                   static_cast<int>(std::min<std::uint64_t>(
-                                      w.passes, 0x7fffffff)));
-      if (w.gave_up) run.complete = false;
-      total += w.log.size();
+                                      w->loop.passes(), 0x7fffffff)));
+      if (w->loop.gave_up()) run.complete = false;
+      total += w->loop.log().size();
     }
-    if (options_.record_events) {
-      std::vector<std::pair<std::uint64_t, DistEvent>> merged;
-      merged.reserve(total);
-      for (Worker& w : workers_) {
-        std::move(w.log.begin(), w.log.end(), std::back_inserter(merged));
-        w.log.clear();
-      }
-      std::sort(merged.begin(), merged.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      run.events.reserve(merged.size());
-      for (auto& [stamp, e] : merged) run.events.push_back(std::move(e));
+    std::vector<StampedEvent> merged;
+    merged.reserve(total);
+    for (const std::unique_ptr<NodeThread>& w : nodes_) {
+      std::vector<StampedEvent>& log = w->loop.log();
+      std::move(log.begin(), log.end(), std::back_inserter(merged));
+      log.clear();
     }
+    std::sort(merged.begin(), merged.end(),
+              [](const StampedEvent& a, const StampedEvent& b) {
+                return a.stamp < b.stamp;
+              });
+    run.events.reserve(merged.size());
+    for (StampedEvent& se : merged) run.events.push_back(std::move(se.event));
     return run;
   }
 
   const DistAlgebra& alg_;
   const dist::Topology& topo_;
-  const action::ActionRegistry& reg_;
   const ParallelOptions& options_;
   DistState state_;
+  LoopPlan plan_;
   ConcurrentMailbox mailbox_;
-  /// The transport seam (transport.h): this runner always uses the
-  /// in-process backend, but Transmit/DeliverMail only ever see the
-  /// Transport interface — the same code shape the per-process
-  /// NodeRuntime runs against its socket backends.
+  /// The in-process transport backend (transport.h).
   MailboxTransport transport_{&mailbox_};
   /// Per-node durable retention logs (empty without durable_dir); the
   /// slot for node i is appended to only by i's current thread.
@@ -1002,10 +430,7 @@ class ParallelRunner {
   /// Const after construction; consulted concurrently by the mailbox's
   /// link filter (PartitionedAtStamp only reads the plan).
   faults::FaultInjector link_check_;
-  bool retry_enabled_ = false;
-  std::vector<std::vector<ActionId>> children_;
-  std::vector<char> dead_;
-  std::vector<Worker> workers_;
+  std::vector<std::unique_ptr<NodeThread>> nodes_;
   std::atomic<std::uint64_t> seq_{0};
   std::atomic<std::uint32_t> done_nodes_{0};
   std::atomic<bool> failed_{false};

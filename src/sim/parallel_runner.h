@@ -10,6 +10,7 @@
 #include "dist/dist_algebra.h"
 #include "faults/faults.h"
 #include "sim/dist_driver.h"
+#include "sim/node_loop.h"
 #include "txn/trace.h"
 #include "valuemap/value_map_algebra.h"
 
@@ -43,20 +44,16 @@ struct ParallelOptions {
   /// deadlock — stamp windows are upper bounds on patience, not exact
   /// schedules.
   faults::FaultPlan plan;
-  /// Base of the per-node watchdog's bounded exponential backoff:
-  /// consecutive no-progress loop passes before the first full-summary
-  /// re-broadcast (the anti-entropy retry that makes dropped deltas
-  /// recoverable; counted in stats.retries). Subsequent retries back off
-  /// exponentially (shift capped at 5). Each retry also ticks the
-  /// logical clock so stamp-based rebirths/partition heals stay live
-  /// while the system idles.
-  int stall_retry_spins = 64;
   /// Watchdog escalation threshold: unproductive retries before the node
   /// timeout-aborts the deepest abortable enclosing subtransaction homed
   /// locally (first of a stuck blocker's ancestors, then of its own
   /// pending path) — the dynamic lose-lock/orphan path, for graceful
-  /// degradation under partitions. Counted in stats.timeout_aborts.
-  int max_attempts_per_step = 16;
+  /// degradation under partitions. Counted in stats.timeout_aborts. The
+  /// watchdog itself (anti-entropy full-summary re-broadcasts after
+  /// kStallRetrySpins idle passes, backing off exponentially, each one a
+  /// logical-clock tick and counted in stats.retries) runs only when the
+  /// plan injects drops, crashes or partitions.
+  int max_attempts_per_step = kMaxAttemptsPerStep;
   /// Consecutive no-progress passes before a node abandons its remaining
   /// obligations (returns an incomplete run rather than spinning forever;
   /// only reachable under adversarial fault plans or driver bugs).
@@ -103,10 +100,10 @@ struct ParallelRun {
 };
 
 /// Executes the entire registered program on ℬ with one thread per node:
-/// each node runs a reactive event loop against its own component of the
-/// state (the algebra's Local Domain / Local Changes properties make the
-/// state partition race-free by construction) and the mutex-free
-/// ConcurrentMailbox carries summaries between nodes.
+/// each thread runs the node's NodeLoop (node_loop.h) against its own
+/// component of the state (the algebra's Local Domain / Local Changes
+/// properties make the state partition race-free by construction) and the
+/// mutex-free ConcurrentMailbox carries summaries between nodes.
 ///
 /// Resilience (see DESIGN.md "Resilience in the concurrent runtime"):
 /// the runner survives the full FaultPlan. A WAL discipline self-appends

@@ -76,38 +76,34 @@ Status RunDurableWorkload(const DurableWorkloadOptions& options) {
       int ack_fd,
       storage::OpenForAppend(options.dir + "/" + kAckFile,
                              /*truncate=*/false));
+  // The lingerer: one nested tree, durably logged (begin/perform records
+  // barriered to disk) *before any worker starts*, then held open until
+  // the kill. Workers spend almost all their time parked in the
+  // group-commit barrier with their commit records already flushed, so
+  // without this the kill would usually land on a quiesced WAL; the
+  // lingerer guarantees every crash leaves a real in-flight tree for
+  // restart recovery to roll back (undone_txns >= 2, deterministically —
+  // a lingerer racing the workers could lose to an early kill). The
+  // handles live until the workers are joined, which a crash-enabled run
+  // never reaches: the scheduled SIGKILL is the only way out, so the
+  // tree is never committed, aborted or destroyed.
+  std::unique_ptr<txn::TxnHandle> lingerer;
+  std::unique_ptr<txn::TxnHandle> lingerer_child;
   if (options.crash.Enabled()) {
-    // The lingerer: one nested tree, durably logged (begin/perform
-    // records barriered to disk) and then held open until the kill.
-    // Workers spend almost all their time parked in the group-commit
-    // barrier with their commit records already flushed, so without
-    // this the kill would usually land on a quiesced WAL; the lingerer
-    // guarantees every crash leaves a real in-flight tree for restart
-    // recovery to roll back (undone_txns >= 2, deterministically).
-    std::thread([engine = engine->get(), &options] {
-      auto txn = engine->Begin();
-      // The lingerer only exists to dirty the WAL before SIGKILL; its
-      // operations' outcomes are erased by the crash by construction.
-      (void)txn->Apply(options.marker_base - 2,  // rnt-lint: allow(status-must-use)
-                       action::Update::Add(1));
-      auto child = txn->BeginChild();
-      if (child.ok()) {
-        (void)(*child)->Apply(options.marker_base - 1,
-                              action::Update::Add(1));
-      }
-      // Called for its flush side effect; the health snapshot itself is
-      // about to be destroyed by the scheduled SIGKILL.
-      (void)engine->wal_health();  // rnt-lint: allow(status-must-use)
-      // Hold the tree open: no commit, no abort, no destructors — the
-      // scheduled SIGKILL is the only way out (the crash trigger is
-      // guaranteed to fire: it is below the workers' total op budget).
-      // The sleep is a pure liveness hold in a process that only ever
-      // dies by SIGKILL; it can never change a recorded outcome.
-      for (;;) {
-        std::this_thread::sleep_for(  // rnt-lint: allow(wall-clock-wait)
-            std::chrono::seconds(1));
-      }
-    }).detach();
+    lingerer = (*engine)->Begin();
+    // The lingerer only exists to dirty the WAL before SIGKILL; its
+    // operations' outcomes are erased by the crash by construction.
+    (void)lingerer->Apply(  // rnt-lint: allow(status-must-use)
+        options.marker_base - 2, action::Update::Add(1));
+    auto child = lingerer->BeginChild();
+    if (child.ok()) {
+      lingerer_child = std::move(*child);
+      (void)lingerer_child->Apply(  // rnt-lint: allow(status-must-use)
+          options.marker_base - 1, action::Update::Add(1));
+    }
+    // Called for its flush side effect: the records reach the disk
+    // before the first worker can trigger the kill.
+    (void)(*engine)->wal_health();  // rnt-lint: allow(status-must-use)
   }
   std::atomic<std::int64_t> committed{0};
   std::vector<std::thread> threads;

@@ -1,7 +1,8 @@
 #include "sim/program_spec.h"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include "action/update.h"
@@ -82,28 +83,31 @@ StatusOr<ProgramSpec> ProgramSpec::Parse(const std::string& token) {
     }
     const std::string key = field.substr(0, eq);
     const std::string value = field.substr(eq + 1);
-    char* endp = nullptr;
-    const unsigned long long v = std::strtoull(value.c_str(), &endp, 10);
-    if (endp == value.c_str() || *endp != '\0') {
+    const std::uint64_t max = key == "seed"
+                                  ? std::numeric_limits<std::uint64_t>::max()
+                                  : std::numeric_limits<std::uint32_t>::max();
+    std::uint64_t v = 0;
+    if (!ParseDecimal(value, max, &v)) {
       return Status::InvalidArgument("program spec: bad value in '" + field +
                                      "'");
     }
+    const auto v32 = static_cast<std::uint32_t>(v);
     if (key == "seed") {
       spec.seed = v;
     } else if (key == "top") {
-      spec.top_level = static_cast<std::uint32_t>(v);
+      spec.top_level = v32;
     } else if (key == "kids") {
-      spec.max_children = static_cast<std::uint32_t>(v);
+      spec.max_children = v32;
     } else if (key == "depth") {
-      spec.max_depth = static_cast<std::uint32_t>(v);
+      spec.max_depth = v32;
     } else if (key == "objs") {
-      spec.objects = static_cast<std::uint32_t>(v);
+      spec.objects = v32;
     } else if (key == "access") {
-      spec.access_ppm = static_cast<std::uint32_t>(v);
+      spec.access_ppm = v32;
     } else if (key == "read") {
-      spec.read_ppm = static_cast<std::uint32_t>(v);
+      spec.read_ppm = v32;
     } else if (key == "k") {
-      spec.k = static_cast<std::uint32_t>(v);
+      spec.k = v32;
     } else {
       return Status::InvalidArgument("program spec: unknown key '" + key +
                                      "'");
@@ -114,6 +118,18 @@ StatusOr<ProgramSpec> ProgramSpec::Parse(const std::string& token) {
     return Status::InvalidArgument("program spec: k, top, depth must be > 0");
   }
   return spec;
+}
+
+bool ParseDecimal(const std::string& text, std::uint64_t max,
+                  std::uint64_t* out) {
+  const char* const last = text.data() + text.size();
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), last, v);
+  if (text.empty() || ec != std::errc() || ptr != last || v > max) {
+    return false;
+  }
+  *out = v;
+  return true;
 }
 
 }  // namespace rnt::sim

@@ -46,6 +46,13 @@ struct ProgramSpec {
   friend bool operator==(const ProgramSpec&, const ProgramSpec&) = default;
 };
 
+/// Parses `text` as a decimal integer in [0, max]: digits only (no sign,
+/// no whitespace, no trailing bytes) and no overflow. The one strict
+/// number parser behind ProgramSpec::Parse and rnt_node's argv, which
+/// come from outside the program.
+bool ParseDecimal(const std::string& text, std::uint64_t max,
+                  std::uint64_t* out);
+
 }  // namespace rnt::sim
 
 #endif  // RNT_SIM_PROGRAM_SPEC_H_

@@ -3,16 +3,17 @@
 // Spawned (and re-spawned after kill -9) by sim::RunMultiProcess; argv
 // carries the entire configuration so a reborn process reconstructs the
 // exact same seeded program. Exit 0 = clean finish (hub broadcast
-// kAllDone, or terminal give-up); exit 1 = local invariant violation,
-// diagnosed on stderr.
+// kAllDone, or terminal give-up); exit 1 = bad argv (with the usage
+// line) or a local invariant violation, diagnosed on stderr.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "common/status.h"
 #include "sim/node_runtime.h"
+#include "sim/program_spec.h"
 
 namespace {
 
@@ -23,11 +24,29 @@ bool TakeFlag(const char* arg, const char* name, std::string* value) {
   return true;
 }
 
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+
+int Usage() {
+  std::fprintf(stderr,
+               "usage: rnt_node --spec=<token> --node=N --dir=DIR "
+               "--endpoint=unix:PATH|tcp:HOST:PORT [--incarnation=G] "
+               "[--recover] [--propagation=delta|eager] "
+               "[--max-idle-spins=N]\n");
+  return 1;
+}
+
+int BadValue(const char* arg) {
+  std::fprintf(stderr, "rnt_node: bad value in '%s'\n", arg);
+  return Usage();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   rnt::sim::NodeRuntimeOptions options;
   bool have_spec = false;
+  std::uint64_t n = 0;
   for (int i = 1; i < argc; ++i) {
     std::string value;
     if (TakeFlag(argv[i], "--spec", &value)) {
@@ -40,21 +59,22 @@ int main(int argc, char** argv) {
       options.spec = *spec;
       have_spec = true;
     } else if (TakeFlag(argv[i], "--node", &value)) {
-      options.node = static_cast<rnt::NodeId>(std::strtoul(value.c_str(),
-                                                           nullptr, 10));
+      if (!rnt::sim::ParseDecimal(value, kMaxU32, &n)) return BadValue(argv[i]);
+      options.node = static_cast<rnt::NodeId>(n);
     } else if (TakeFlag(argv[i], "--dir", &value)) {
       options.dir = value;
     } else if (TakeFlag(argv[i], "--endpoint", &value)) {
       options.endpoint = value;
     } else if (TakeFlag(argv[i], "--incarnation", &value)) {
-      options.incarnation = static_cast<std::uint32_t>(
-          std::strtoul(value.c_str(), nullptr, 10));
+      if (!rnt::sim::ParseDecimal(value, kMaxU32, &n)) return BadValue(argv[i]);
+      options.incarnation = static_cast<std::uint32_t>(n);
     } else if (TakeFlag(argv[i], "--propagation", &value)) {
-      options.propagation = value == "eager"
-                                ? rnt::sim::Propagation::kEager
-                                : rnt::sim::Propagation::kDelta;
+      if (value != "delta" && value != "eager") return BadValue(argv[i]);
+      options.propagation = value == "eager" ? rnt::sim::Propagation::kEager
+                                             : rnt::sim::Propagation::kDelta;
     } else if (TakeFlag(argv[i], "--max-idle-spins", &value)) {
-      options.max_idle_spins = std::strtoull(value.c_str(), nullptr, 10);
+      if (!rnt::sim::ParseDecimal(value, kMaxU64, &n)) return BadValue(argv[i]);
+      options.max_idle_spins = n;
     } else if (std::strcmp(argv[i], "--recover") == 0) {
       options.recover = true;
     } else {
@@ -63,12 +83,7 @@ int main(int argc, char** argv) {
     }
   }
   if (!have_spec || options.dir.empty() || options.endpoint.empty()) {
-    std::fprintf(stderr,
-                 "usage: rnt_node --spec=<token> --node=N --dir=DIR "
-                 "--endpoint=unix:PATH|tcp:HOST:PORT [--incarnation=G] "
-                 "[--recover] [--propagation=delta|eager] "
-                 "[--max-idle-spins=N]\n");
-    return 1;
+    return Usage();
   }
   const rnt::Status s = rnt::sim::RunNodeProcess(options);
   if (!s.ok()) {

@@ -100,13 +100,6 @@ SocketHub::HubStats SocketHub::Stats() const {
   return stats_;
 }
 
-std::uint64_t SocketHub::ObservedClock() const {
-  MutexLock l(hub_mu_);
-  std::uint64_t clock = 0;
-  for (const NodeStatus& s : status_) clock = std::max(clock, s.clock);
-  return clock;
-}
-
 void SocketHub::BroadcastAllDone() {
   MutexLock l(hub_mu_);
   broadcast_all_done_ = true;

@@ -77,9 +77,6 @@ class SocketHub {
 
   std::vector<NodeStatus> Snapshot() const;
   HubStats Stats() const;
-  /// max over nodes of the last clock each reported — the logical time
-  /// partitions and kill triggers are judged on.
-  std::uint64_t ObservedClock() const;
 
   /// Queues a kAllDone broadcast to every connected node.
   void BroadcastAllDone();

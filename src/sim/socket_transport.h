@@ -55,7 +55,6 @@ class SocketTransport final : public Transport {
   // Transport interface (summary traffic).
   bool Send(NodeId to, TransportMessage msg) override;
   std::vector<TransportMessage> Poll(NodeId self) override;
-  bool Idle(NodeId self) override;
 
   /// Sends a liveness/progress heartbeat. False when the link is down
   /// and reconnect failed (the caller keeps going; the watchdog retries).

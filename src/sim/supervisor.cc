@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include "sim/event_log.h"
+#include "sim/node_loop.h"
 #include "sim/process_chaos.h"
 #include "sim/wire.h"
 
@@ -94,7 +95,8 @@ std::string DescribeNodes(const std::vector<SocketHub::NodeStatus>& snap,
 
 StatusOr<MultiProcessRun> RunMultiProcess(const SupervisorOptions& options) {
   const NodeId k = options.spec.k;
-  RNT_RETURN_IF_ERROR(faults::ValidatePlan(options.plan, k));
+  RNT_RETURN_IF_ERROR(
+      ValidateLoopOptions(options.propagation, k, options.plan));
 
   SocketHub::Options hub_options;
   hub_options.backend = options.backend;
@@ -106,15 +108,7 @@ StatusOr<MultiProcessRun> RunMultiProcess(const SupervisorOptions& options) {
   SocketHub& hub = **hub_or;
 
   std::vector<Child> children(k);
-  for (const faults::CrashSpec& c : options.plan.crashes) {
-    if (c.node < k) children[c.node].specs.push_back(c);
-  }
-  for (Child& ch : children) {
-    std::sort(ch.specs.begin(), ch.specs.end(),
-              [](const faults::CrashSpec& a, const faults::CrashSpec& b) {
-                return a.TriggerStamp() < b.TriggerStamp();
-              });
-  }
+  for (NodeId i = 0; i < k; ++i) children[i].specs = options.plan.CrashesOf(i);
   // On any early return, make sure no child outlives the harness.
   auto kill_all = [&] {
     for (Child& ch : children) {

@@ -11,32 +11,27 @@
 
 namespace rnt::sim {
 
-/// One summary transmission as seen by a transport backend. The `delay`
-/// field is the receiver-side hold count the fault machinery attaches
-/// (see NodeMessage); `clock` carries the sender's Lamport clock for the
-/// socket backends (the in-process backend has a global stamp counter
-/// and ignores it).
-struct TransportMessage {
-  NodeId from = 0;
-  dist::ActionSummary summary;
-  int delay = 0;
-  std::uint64_t clock = 0;
-};
+/// One summary transmission as seen by a transport backend: the sender,
+/// the payload, the receiver-side hold count the fault machinery attaches,
+/// and the sender's Lamport clock (see NodeMessage).
+using TransportMessage = NodeMessage;
 
-/// The transport seam of the parallel ℬ runtime: how summaries travel
-/// between nodes. Three interchangeable backends implement it —
+/// The transport seam of the ℬ runtime: how summaries travel between
+/// nodes. Two interchangeable backends implement it —
 ///
 ///  * MailboxTransport (below): the in-process ConcurrentMailbox, one
 ///    thread per node in one address space;
 ///  * SocketTransport (socket_transport.h): a Unix-domain or TCP stream
-///    to the supervisor's SocketHub, one OS *process* per node.
+///    to the supervisor's SocketHub (one backend, two socket families),
+///    one OS *process* per node.
 ///
 /// The contract mirrors ℬ's message system: Send is fire-and-forget
 /// (the network may eat it — false means the transport already knows it
-/// did, e.g. a severed link), Poll drains everything currently pending
-/// for `self`, and Idle is a racy fast-path hint that Poll would return
-/// nothing. Value-equivalence across backends on the same seed is the
-/// point: the algebra never sees which backend carried its knowledge.
+/// did, e.g. a severed link), and Poll drains everything currently
+/// pending for `self`. Each NodeLoop host (node_loop.h) forwards its
+/// transmit and poll hooks to one backend. Value-equivalence across
+/// backends on the same seed is the point: the algebra never sees which
+/// backend carried its knowledge.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -49,10 +44,6 @@ class Transport {
   /// Drains every transmission currently deliverable to `self`, oldest
   /// first. Single-consumer per destination.
   virtual std::vector<TransportMessage> Poll(NodeId self) = 0;
-
-  /// Fast-path hint: true when Poll(self) would (probably) return
-  /// nothing. Racy by nature — used only to skip empty drains.
-  virtual bool Idle(NodeId self) = 0;
 };
 
 /// The in-process backend: a thin adapter over the lock-free
@@ -65,20 +56,16 @@ class MailboxTransport final : public Transport {
       : mailbox_(mailbox) {}
 
   bool Send(NodeId to, TransportMessage msg) override {
-    return mailbox_->Push(
-        to, NodeMessage{msg.from, std::move(msg.summary), msg.delay});
+    return mailbox_->Push(to, std::move(msg));
   }
 
   std::vector<TransportMessage> Poll(NodeId self) override {
-    std::vector<TransportMessage> out;
-    for (NodeMessage& m : mailbox_->Drain(self)) {
-      out.push_back(
-          TransportMessage{m.from, std::move(m.summary), m.delay, 0});
-    }
-    return out;
+    return mailbox_->Drain(self);
   }
 
-  bool Idle(NodeId self) override { return mailbox_->Empty(self); }
+  /// Fast-path hint: true when Poll(self) would (probably) return
+  /// nothing. Racy by nature — used only to skip empty drains.
+  bool Idle(NodeId self) const { return mailbox_->Empty(self); }
 
  private:
   ConcurrentMailbox* mailbox_;

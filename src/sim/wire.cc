@@ -126,23 +126,6 @@ std::string EncodeHeartbeat(const HeartbeatFrame& f) {
 
 std::string EncodeAllDone() { return Finish(FrameType::kAllDone, ""); }
 
-void EncodeFrame(std::string& out, const Frame& f) {
-  switch (f.type) {
-    case FrameType::kHello:
-      out.append(EncodeHello(f.hello));
-      return;
-    case FrameType::kSummary:
-      out.append(EncodeSummaryFrame(f.summary));
-      return;
-    case FrameType::kHeartbeat:
-      out.append(EncodeHeartbeat(f.heartbeat));
-      return;
-    case FrameType::kAllDone:
-      out.append(EncodeAllDone());
-      return;
-  }
-}
-
 Status DrainFrames(std::string& buf, std::vector<Frame>& out) {
   std::size_t off = 0;
   const auto* base = reinterpret_cast<const unsigned char*>(buf.data());

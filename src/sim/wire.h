@@ -79,9 +79,6 @@ std::uint64_t SummaryScalar(const dist::ActionSummary& s);
 
 void EncodeSummary(std::string& out, const dist::ActionSummary& s);
 
-/// Appends one whole frame (len header included) to `out`.
-void EncodeFrame(std::string& out, const Frame& f);
-
 std::string EncodeHello(const HelloFrame& f);
 std::string EncodeSummaryFrame(const SummaryFrame& f);
 std::string EncodeHeartbeat(const HeartbeatFrame& f);

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+#include <fcntl.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cstdint>
 #include <span>
 #include <string>
@@ -12,6 +17,7 @@
 #include "faults/faults.h"
 #include "orphan/orphan.h"
 #include "sim/parallel_runner.h"
+#include "sim/process_chaos.h"
 #include "sim/program_spec.h"
 #include "sim/supervisor.h"
 #include "temp_dir.h"
@@ -239,6 +245,82 @@ TEST(MultiProcessTest, DeterministicFaultsAreDeterministic) {
     } else {
       EXPECT_EQ(values, first);
     }
+  }
+}
+
+/// Entries of `dir` other than "." and "..".
+std::vector<std::string> ListDir(const std::string& dir) {
+  std::vector<std::string> names;
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return names;
+  while (dirent* e = ::readdir(d)) {
+    const std::string name = e->d_name;
+    if (name != "." && name != "..") names.push_back(name);
+  }
+  (void)::closedir(d);
+  return names;
+}
+
+/// Runs the node binary with `args` (stderr silenced) and returns its
+/// exit code, or -1 when it did not exit normally.
+int RunNodeBinary(const std::vector<std::string>& args) {
+  std::vector<std::string> all{RNT_NODE_BINARY};
+  all.insert(all.end(), args.begin(), args.end());
+  std::vector<char*> argv;
+  for (std::string& a : all) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    const int null_fd = ::open("/dev/null", O_WRONLY);
+    if (null_fd >= 0) (void)::dup2(null_fd, STDERR_FILENO);
+    ::execv(argv[0], argv.data());
+    ::_exit(127);
+  }
+  if (pid < 0) return -1;
+  auto status = ReapWithDeadline(pid, 30000, "rnt_node (argv check)");
+  if (!status.ok() || !WIFEXITED(*status)) return -1;
+  return WEXITSTATUS(*status);
+}
+
+TEST(MultiProcessTest, RejectsLazyPropagationBeforeAnyFork) {
+  testing::TempDir dir;
+  ASSERT_TRUE(dir.ok());
+  SupervisorOptions opt;
+  opt.spec = SmallSpec(5);
+  opt.node_binary = RNT_NODE_BINARY;
+  opt.dir = dir.path();
+  opt.propagation = Propagation::kLazy;
+  auto run = RunMultiProcess(opt);
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+  // Rejected before the hub bound its socket or any node traced.
+  EXPECT_TRUE(ListDir(dir.path()).empty());
+}
+
+TEST(MultiProcessTest, NodeBinaryRejectsMalformedFlags) {
+  testing::TempDir dir;
+  ASSERT_TRUE(dir.ok());
+  const std::vector<std::string> base{
+      "--spec=" + SmallSpec(5).Serialize(), "--dir=" + dir.path(),
+      "--endpoint=unix:" + dir.path() + "/no-hub.sock"};
+  const std::vector<std::string> bad{
+      "--node=x",
+      "--node=1x",
+      "--node=-1",
+      "--node=",
+      "--node=4294967296",
+      "--incarnation=abc",
+      "--incarnation=99999999999",
+      "--max-idle-spins=abc",
+      "--max-idle-spins=12 ",
+      "--max-idle-spins=99999999999999999999999",
+      "--propagation=lazy",
+      "--propagation=bogus",
+  };
+  for (const std::string& flag : bad) {
+    std::vector<std::string> args = base;
+    args.push_back(flag);
+    EXPECT_EQ(RunNodeBinary(args), 1) << flag;
+    EXPECT_TRUE(ListDir(dir.path()).empty()) << flag;
   }
 }
 
