@@ -6,8 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include <poll.h>
-
 #include "action/registry.h"
 #include "dist/dist_algebra.h"
 #include "dist/summary.h"
@@ -25,8 +23,11 @@ namespace {
 using dist::ActionSummary;
 using dist::DistEvent;
 
-/// Liveness-only pacing; never semantics (outcomes are replay-certified).
-void PauseMs(int ms) { (void)::poll(nullptr, 0, ms); }
+/// Longest idle wait per pass. Watchdog retries, the max_idle_spins
+/// give-up and exit-on-silence count idle passes, so this cap is what
+/// keeps those thresholds in wall-clock terms (64 idle passes ≈ 64 ms
+/// when nothing arrives). Liveness only: outcomes are replay-certified.
+constexpr int kIdleWaitCapMs = 1;
 
 /// The process host of ℬ: one NodeLoop (node_loop.h) as this whole OS
 /// process, around it what only a process needs — durable open and
@@ -46,7 +47,8 @@ void PauseMs(int ms) { (void)::poll(nullptr, 0, ms); }
 ///    the hub's link interposer (the process cannot be trusted to drop
 ///    its own frames once kill -9 is real); the node only *reacts*;
 ///  * done, stop and pace: heartbeats, the hub's kAllDone broadcast, and
-///    a 1 ms pause after 8 idle passes.
+///    an idle pass that blocks on the hub socket until a frame or
+///    kAllDone arrives, for at most kIdleWaitCapMs.
 class NodeRuntime final : public NodeHost {
  public:
   explicit NodeRuntime(const NodeRuntimeOptions& options)
@@ -133,7 +135,8 @@ class NodeRuntime final : public NodeHost {
     if (idle > 10 * options_.max_idle_spins) {
       return false;  // supervisor unreachable for good; exit on our own
     }
-    if (idle > 8) PauseMs(1);  // single-core friendliness
+    // Whether a frame arrived or the cap passed, the next pass polls.
+    transport_->Wait(kIdleWaitCapMs);
     return true;
   }
 
@@ -206,6 +209,7 @@ class NodeRuntime final : public NodeHost {
     f.done = loop_->marked_done();
     f.gave_up = loop_->gave_up();
     f.acked_scalar = SummaryScalar(retained_);
+    f.retries = loop_->stats().retries;
     // Liveness only: a lost beat is indistinguishable from silence, and
     // the next one supersedes it.
     (void)transport_->SendHeartbeat(f);  // rnt-lint: allow(status-must-use)

@@ -8,7 +8,9 @@
 #include <thread>
 
 #include <poll.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
+#include <time.h>
 #include <unistd.h>
 
 #include "action/update.h"
@@ -57,6 +59,42 @@ void WorkerLoop(storage::DurableEngine* engine,
     }
     // Ack strictly after durability: a one-byte O_APPEND write is atomic.
     (void)::write(ack_fd, &ack_byte, 1);
+  }
+}
+
+/// ReapWithDeadline's loop; `pidfd` < 0 when none could be opened.
+StatusOr<int> ReapWithPidfd(int pid, int pidfd, int deadline_ms,
+                            const std::string& what) {
+  const std::int64_t start = MonotonicMs();
+  const int half = std::max(1, deadline_ms / 2);
+  bool escalated = false;
+  for (;;) {
+    int wstatus = 0;
+    const pid_t r = ::waitpid(pid, &wstatus, WNOHANG);
+    if (r == pid) return wstatus;
+    if (r < 0 && errno != EINTR) {
+      return Status::Internal("waitpid(" + std::to_string(pid) +
+                              ") failed for " + what);
+    }
+    const std::int64_t waited = MonotonicMs() - start;
+    if (waited >= deadline_ms) {
+      // Abandoned: the SIGKILL below was already sent, so the child is
+      // unreapable (likely stuck in the kernel). Fail loudly.
+      return Status::Timeout("child " + std::to_string(pid) + " (" + what +
+                             ") not reaped within " +
+                             std::to_string(deadline_ms) +
+                             "ms despite SIGKILL escalation");
+    }
+    if (!escalated && waited >= half) {
+      escalated = true;
+      (void)::kill(pid, SIGKILL);
+    }
+    // Wake at the exit, or at the next escalation step.
+    const int wait_ms =
+        static_cast<int>((escalated ? deadline_ms : half) - waited);
+    pollfd p{pidfd, POLLIN, 0};
+    // rnt-lint: allow(wall-clock-wait)
+    (void)::poll(&p, pidfd >= 0 ? 1 : 0, pidfd >= 0 ? wait_ms : 1);
   }
 }
 
@@ -120,33 +158,22 @@ Status RunDurableWorkload(const DurableWorkloadOptions& options) {
 
 StatusOr<int> ReapWithDeadline(int pid, int deadline_ms,
                                const std::string& what) {
-  // Non-blocking reap loop: a child stuck in an uninterruptible state
-  // must not wedge the harness. The waits are liveness-only (1ms ::poll
-  // pauses); semantics are carried entirely by the reaped status word.
-  bool escalated = false;
-  const int half = std::max(1, deadline_ms / 2);
-  for (int waited = 0;; ++waited) {
-    int wstatus = 0;
-    const pid_t r = ::waitpid(pid, &wstatus, WNOHANG);
-    if (r == pid) return wstatus;
-    if (r < 0 && errno != EINTR) {
-      return Status::Internal("waitpid(" + std::to_string(pid) +
-                              ") failed for " + what);
-    }
-    if (waited >= deadline_ms) {
-      // Abandoned: the SIGKILL below was already sent, so the child is
-      // unreapable (likely stuck in the kernel). Fail loudly.
-      return Status::Timeout("child " + std::to_string(pid) + " (" + what +
-                             ") not reaped within " +
-                             std::to_string(deadline_ms) +
-                             "ms despite SIGKILL escalation");
-    }
-    if (!escalated && waited >= half) {
-      escalated = true;
-      (void)::kill(pid, SIGKILL);
-    }
-    (void)::poll(nullptr, 0, 1);  // 1ms liveness pause
-  }
+  // Bounded reap: a child stuck in an uninterruptible state must not
+  // wedge the harness. A pidfd turns readable when the child exits, so
+  // poll() on it ends the wait at the exit itself; without one (an old
+  // kernel, no free fd) the wait degrades to 1 ms polls. The waits are
+  // liveness-only; semantics are carried entirely by the status word.
+  const int pidfd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+  const StatusOr<int> reaped = ReapWithPidfd(pid, pidfd, deadline_ms, what);
+  if (pidfd >= 0) (void)::close(pidfd);
+  return reaped;
+}
+
+std::int64_t MonotonicMs() {
+  timespec ts{};
+  // rnt-lint: allow(wall-clock-wait)
+  (void)::clock_gettime(CLOCK_MONOTONIC, &ts);
+  return static_cast<std::int64_t>(ts.tv_sec) * 1000 + ts.tv_nsec / 1000000;
 }
 
 StatusOr<int> RunInChild(const std::function<void()>& body,

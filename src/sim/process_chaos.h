@@ -88,14 +88,18 @@ StatusOr<KillRecoverReport> RunKillRecoverCycle(
 StatusOr<int> RunInChild(const std::function<void()>& body,
                          int reap_deadline_ms = 30000);
 
-/// Bounded child reap: polls waitpid(WNOHANG) until the child is
-/// collected. Past half the deadline the child is SIGKILLed (escalation
+/// Bounded child reap: waits for the child's exit (on a pidfd) and
+/// collects it. Past half the deadline the child is SIGKILLed (escalation
 /// for a hung workload); past the full deadline the wait is abandoned
 /// with Status::Timeout naming `what` and the pid — a hung child fails
 /// the harness with diagnostics instead of hanging CI forever. Returns
 /// the raw waitpid status word (use WIFSIGNALED / WIFEXITED).
 StatusOr<int> ReapWithDeadline(int pid, int deadline_ms,
                                const std::string& what);
+
+/// CLOCK_MONOTONIC in milliseconds, for the harness's wall deadlines
+/// (liveness only: outcomes come from exit statuses and durable traces).
+std::int64_t MonotonicMs();
 
 /// Per-thread ack counts from `dir`'s acks file (missing file = all 0).
 StatusOr<std::vector<std::uint64_t>> ReadAcks(const std::string& dir,

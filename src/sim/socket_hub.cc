@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -9,6 +10,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -30,6 +32,11 @@ StatusOr<std::unique_ptr<SocketHub>> SocketHub::Start(const Options& options) {
   std::unique_ptr<SocketHub> hub(new SocketHub(options));
   Status st = hub->Bind();
   if (!st.ok()) return st;
+  hub->wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (hub->wake_fd_ < 0) {
+    return Status::Internal(std::string("hub: eventfd failed: ") +
+                            std::strerror(errno));
+  }
   {
     MutexLock l(hub->hub_mu_);
     hub->status_.resize(options.k);
@@ -100,14 +107,43 @@ SocketHub::HubStats SocketHub::Stats() const {
   return stats_;
 }
 
-void SocketHub::BroadcastAllDone() {
+std::uint64_t SocketHub::AwaitProgress(std::uint64_t seen,
+                                       int timeout_ms) const {
+  // Capped wall-clock wait: the caller's deadline and schedule checks
+  // run at least this often; hub events end it early.
+  // rnt-lint: allow(wall-clock-wait)
+  const auto until = std::chrono::steady_clock::now() +
+                     std::chrono::milliseconds(timeout_ms);
   MutexLock l(hub_mu_);
-  broadcast_all_done_ = true;
+  while (progress_ == seen) {
+    if (progress_cv_.WaitUntil(hub_mu_, until) == std::cv_status::timeout) {
+      break;
+    }
+  }
+  return progress_;
+}
+
+void SocketHub::Wake() {
+  const std::uint64_t one = 1;
+  // A full counter (never reached) is still readable, so a failed write
+  // cannot lose the wake-up.
+  (void)!::write(wake_fd_, &one, sizeof(one));
+}
+
+void SocketHub::BroadcastAllDone() {
+  {
+    MutexLock l(hub_mu_);
+    broadcast_all_done_ = true;
+  }
+  Wake();
 }
 
 void SocketHub::ResetNode(NodeId node) {
-  MutexLock l(hub_mu_);
-  if (node < reset_requests_.size()) reset_requests_[node] = 1;
+  {
+    MutexLock l(hub_mu_);
+    if (node < reset_requests_.size()) reset_requests_[node] = 1;
+  }
+  Wake();
 }
 
 void SocketHub::ClearNodeProgress(NodeId node) {
@@ -125,10 +161,15 @@ void SocketHub::Stop() {
     if (stop_) return;
     stop_ = true;
   }
+  if (wake_fd_ >= 0) Wake();
   if (thread_.joinable()) thread_.join();
   if (listen_fd_ >= 0) {
     (void)::close(listen_fd_);
     listen_fd_ = -1;
+  }
+  if (wake_fd_ >= 0) {
+    (void)::close(wake_fd_);
+    wake_fd_ = -1;
   }
   if (!unix_path_.empty() && storage::FileExists(unix_path_)) {
     // Shutdown tidy-up of the socket node; nothing depends on it.
@@ -144,17 +185,12 @@ void SocketHub::ThreadMain() {
   faults::LinkInterposer interposer(options_.plan);
   std::vector<Conn> conns;
   std::vector<std::uint32_t> hellos(options_.k, 0);
+  // Frames for nodes that have not said their first hello yet.
+  std::vector<std::string> held(options_.k);
+  // Each node's retry count as its current incarnation last reported.
+  std::vector<std::uint64_t> retries_seen(options_.k, 0);
+  bool all_done_sent = false;
 
-  auto close_conn = [&](Conn& c) {
-    if (c.fd >= 0) {
-      (void)::close(c.fd);
-      c.fd = -1;
-    }
-    if (c.node >= 0 && static_cast<NodeId>(c.node) < options_.k) {
-      MutexLock l(hub_mu_);
-      status_[static_cast<NodeId>(c.node)].connected = false;
-    }
-  };
   auto conn_of = [&](NodeId node) -> Conn* {
     for (Conn& c : conns) {
       if (c.fd >= 0 && c.node == static_cast<int>(node)) return &c;
@@ -179,8 +215,13 @@ void SocketHub::ThreadMain() {
         }
         c.node = static_cast<int>(h.node);
         frame_clock = h.clock;
+        if (hellos[h.node] == 0) {
+          c.outbuf += held[h.node];  // ahead of anything routed later
+          std::string().swap(held[h.node]);
+        }
         MutexLock l(hub_mu_);
         NodeStatus& s = status_[h.node];
+        if (s.incarnation != h.incarnation) retries_seen[h.node] = 0;
         s.connected = true;
         s.incarnation = h.incarnation;
         s.clock = std::max(s.clock, h.clock);
@@ -190,6 +231,7 @@ void SocketHub::ThreadMain() {
                                         h.recovered_scalar);
         }
         if (hellos[h.node]++ > 0) ++stats_.reconnects;
+        NoteProgress();
         break;
       }
       case FrameType::kSummary: {
@@ -216,8 +258,8 @@ void SocketHub::ThreadMain() {
           // once, forcing both endpoints through their reconnect path.
           Conn* a = conn_of(f.summary.from);
           Conn* b = conn_of(f.summary.to);
-          if (a != nullptr) close_conn(*a);
-          if (b != nullptr && b != a) close_conn(*b);
+          if (a != nullptr) CloseConn(*a);
+          if (b != nullptr && b != a) CloseConn(*b);
           MutexLock l(hub_mu_);
           ++stats_.resets;
         }
@@ -230,11 +272,22 @@ void SocketHub::ThreadMain() {
           }
           break;
         }
-        Conn* dst = conn_of(f.summary.to);
-        if (dst == nullptr) break;  // target down: the network ate it
+        const NodeId to = f.summary.to;
+        Conn* dst = conn_of(to);
+        std::string* sink = dst != nullptr  ? &dst->outbuf
+                            : hellos[to] == 0 ? &held[to]
+                                              : nullptr;
+        if (sink == nullptr) {
+          // Target down after its first hello: the network ate it.
+          if (!all_done_sent) {
+            MutexLock l(hub_mu_);
+            ++stats_.unrouted;
+          }
+          break;
+        }
         SummaryFrame out = std::move(f.summary);
         out.delay = static_cast<std::uint32_t>(verdict.delay);
-        dst->outbuf += EncodeSummaryFrame(out);
+        *sink += EncodeSummaryFrame(out);
         if (verdict.delay > 0 || verdict.duplicate_delay >= 0) {
           MutexLock l(hub_mu_);
           if (verdict.delay > 0) ++stats_.delayed;
@@ -242,7 +295,7 @@ void SocketHub::ThreadMain() {
         }
         if (verdict.duplicate_delay >= 0) {
           out.delay = static_cast<std::uint32_t>(verdict.duplicate_delay);
-          dst->outbuf += EncodeSummaryFrame(out);
+          *sink += EncodeSummaryFrame(out);
         }
         break;
       }
@@ -256,6 +309,11 @@ void SocketHub::ThreadMain() {
         s.done = h.done;
         s.gave_up = h.gave_up;
         s.acked_scalar = std::max(s.acked_scalar, h.acked_scalar);
+        if (h.retries > retries_seen[h.node]) {
+          s.retries += h.retries - retries_seen[h.node];
+          retries_seen[h.node] = h.retries;
+        }
+        NoteProgress();
         break;
       }
       case FrameType::kAllDone:
@@ -284,9 +342,10 @@ void SocketHub::ThreadMain() {
     }
     for (NodeId n : resets) {
       Conn* c = conn_of(n);
-      if (c != nullptr) close_conn(*c);
+      if (c != nullptr) CloseConn(*c);
     }
     if (broadcast) {
+      all_done_sent = true;
       const std::string frame = EncodeAllDone();
       for (Conn& c : conns) {
         if (c.fd >= 0 && c.node >= 0) c.outbuf += frame;
@@ -295,8 +354,9 @@ void SocketHub::ThreadMain() {
 
     // Poll the listener and every live connection.
     std::vector<pollfd> pfds;
-    std::vector<std::size_t> idx;  // pfds[i+1] -> conns[idx[i]]
+    std::vector<std::size_t> idx;  // pfds[i+2] -> conns[idx[i]]
     pfds.push_back(pollfd{listen_fd_, POLLIN, 0});
+    pfds.push_back(pollfd{wake_fd_, POLLIN, 0});
     for (std::size_t i = 0; i < conns.size(); ++i) {
       if (conns[i].fd < 0) continue;
       short events = POLLIN;
@@ -304,8 +364,13 @@ void SocketHub::ThreadMain() {
       pfds.push_back(pollfd{conns[i].fd, events, 0});
       idx.push_back(i);
     }
-    const int ready = ::poll(pfds.data(), pfds.size(), /*timeout_ms=*/10);
+    // No timeout: every control action comes with a Wake().
+    const int ready = ::poll(pfds.data(), pfds.size(), -1);
     if (ready < 0 && errno != EINTR) break;  // unrecoverable
+    if (pfds[1].revents & POLLIN) {
+      std::uint64_t count = 0;
+      (void)!::read(wake_fd_, &count, sizeof(count));  // rearm
+    }
 
     if (pfds[0].revents & POLLIN) {
       for (;;) {
@@ -333,11 +398,11 @@ void SocketHub::ThreadMain() {
       }
     }
 
-    for (std::size_t p = 1; p < pfds.size(); ++p) {
-      Conn& c = conns[idx[p - 1]];
+    for (std::size_t p = 2; p < pfds.size(); ++p) {
+      Conn& c = conns[idx[p - 2]];
       if (c.fd < 0) continue;  // closed by an earlier frame this round
       if (pfds[p].revents & (POLLERR | POLLHUP | POLLNVAL)) {
-        close_conn(c);
+        CloseConn(c);
         continue;
       }
       if (pfds[p].revents & POLLIN) {
@@ -364,7 +429,7 @@ void SocketHub::ThreadMain() {
           if (c.fd < 0) break;  // a reset verdict closed us mid-batch
           handle_frame(c, std::move(f));
         }
-        if (dead && c.fd >= 0) close_conn(c);
+        if (dead && c.fd >= 0) CloseConn(c);
         if (c.fd < 0) continue;
       }
       if ((pfds[p].revents & POLLOUT) && !c.outbuf.empty()) {
@@ -394,17 +459,28 @@ void SocketHub::FlushOutbound(Conn& c) {
     }
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    // Peer gone; the next poll round reaps the fd via POLLERR/recv.
-    (void)::close(c.fd);
-    c.fd = -1;
-    if (c.node >= 0 && static_cast<NodeId>(c.node) < options_.k) {
-      MutexLock l(hub_mu_);
-      status_[static_cast<NodeId>(c.node)].connected = false;
-    }
+    CloseConn(c);  // peer gone
     c.outbuf.clear();
     return;
   }
   c.outbuf.erase(0, off);
+}
+
+void SocketHub::CloseConn(Conn& c) {
+  if (c.fd >= 0) {
+    (void)::close(c.fd);
+    c.fd = -1;
+  }
+  if (c.node >= 0 && static_cast<NodeId>(c.node) < options_.k) {
+    MutexLock l(hub_mu_);
+    status_[static_cast<NodeId>(c.node)].connected = false;
+    NoteProgress();
+  }
+}
+
+void SocketHub::NoteProgress() {
+  ++progress_;
+  progress_cv_.NotifyAll();
 }
 
 }  // namespace rnt::sim

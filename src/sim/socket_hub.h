@@ -25,10 +25,21 @@ namespace rnt::sim {
 /// judged on the hub-observed Lamport clock, and one-shot connection
 /// resets when a partition window opens.
 ///
+/// Routing after the verdict: a frame to a node that has never sent its
+/// first kHello is held in a per-node buffer and queued ahead of
+/// everything else when that hello arrives (ℬ's buffer may delay a
+/// message; holding it keeps the link's order). A frame to a node whose
+/// connection closed after its first hello is dropped and counted as
+/// `unrouted`: a crashed or partitioned node loses what the network
+/// carried meanwhile, and anti-entropy repairs the gap.
+///
 /// Threading: one hub thread owns all socket I/O (a poll() loop over
-/// the listener and every node connection). The supervisor thread reads
-/// progress snapshots and enqueues control actions (broadcast, reset)
-/// through a small table guarded by hub_mu_ (kRankTransportHub).
+/// the listener, every node connection and a wake-up eventfd, with no
+/// timeout: delay verdicts travel inside the frame, so the hub keeps no
+/// timers). The supervisor thread reads progress snapshots, waits for
+/// hellos and heartbeats, and enqueues control actions (broadcast,
+/// reset, stop — each wakes the hub at once) through a small table
+/// guarded by hub_mu_ (kRankTransportHub).
 class SocketHub {
  public:
   enum class Backend { kUnix, kTcp };
@@ -53,6 +64,9 @@ class SocketHub {
     /// retention log, as reported by the latest recovering kHello.
     std::uint64_t recovered_scalar = 0;
     bool ever_recovered = false;
+    /// Watchdog retries reported in heartbeats, summed over every
+    /// incarnation of the node (each reports its own running count).
+    std::uint64_t retries = 0;
   };
 
   struct HubStats {
@@ -63,6 +77,10 @@ class SocketHub {
     std::uint64_t delayed = 0;
     std::uint64_t resets = 0;        // interposer-forced connection resets
     std::uint64_t reconnects = 0;    // kHello frames beyond the first
+    /// Target closed after its first hello (crashed, reset, exited), so
+    /// no live connection took the frame. Frames after the kAllDone
+    /// broadcast are shutdown traffic and are not counted.
+    std::uint64_t unrouted = 0;
   };
 
   /// Binds, listens, and starts the hub thread.
@@ -77,6 +95,11 @@ class SocketHub {
 
   std::vector<NodeStatus> Snapshot() const;
   HubStats Stats() const;
+
+  /// Blocks until a kHello, heartbeat or connection loss arrives after
+  /// the one that produced `seen`, or `timeout_ms` passes. Returns the
+  /// progress count to pass to the next call (start with 0).
+  std::uint64_t AwaitProgress(std::uint64_t seen, int timeout_ms) const;
 
   /// Queues a kAllDone broadcast to every connected node.
   void BroadcastAllDone();
@@ -95,13 +118,20 @@ class SocketHub {
 
   Status Bind();
   void ThreadMain();
+  /// Wakes the hub thread out of poll() so a control action runs now.
+  void Wake();
   struct Conn;
   void FlushOutbound(Conn& c);
+  /// Closes `c` and marks its node disconnected.
+  void CloseConn(Conn& c);
+  /// Wakes AwaitProgress callers.
+  void NoteProgress() REQUIRES(hub_mu_);
 
   Options options_;
   std::string endpoint_;
   std::string unix_path_;
   int listen_fd_ = -1;
+  int wake_fd_ = -1;  // eventfd: Wake() makes it readable
   std::thread thread_;
 
   /// One accepted connection. Owned by the hub thread; `node` is set by
@@ -119,6 +149,10 @@ class SocketHub {
   std::vector<char> reset_requests_ GUARDED_BY(hub_mu_);
   std::vector<NodeStatus> status_ GUARDED_BY(hub_mu_);
   HubStats stats_ GUARDED_BY(hub_mu_);
+  /// Bumped (and progress_cv_ notified) per hello, heartbeat and closed
+  /// node connection.
+  std::uint64_t progress_ GUARDED_BY(hub_mu_) = 0;
+  mutable CondVar progress_cv_;
 };
 
 }  // namespace rnt::sim

@@ -20,7 +20,9 @@ namespace {
 /// Liveness-only wall-clock pause between reconnect attempts. ::poll
 /// with no fds is the portable millisecond sleep that cannot change any
 /// recorded outcome — the schedule of retries is not part of the model.
-void PauseMs(int ms) { (void)::poll(nullptr, 0, ms); }
+void PauseMs(int ms) {
+  (void)::poll(nullptr, 0, ms);  // rnt-lint: allow(wall-clock-wait)
+}
 
 /// Parses "unix:<path>" or "tcp:<host>:<port>" and dials it.
 int DialEndpoint(const std::string& endpoint) {
@@ -121,8 +123,9 @@ bool SocketTransport::WriteFrame(const std::string& frame) {
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       // Blocking socket: only reachable under pathological buffer
-      // pressure; brief pause, then retry.
-      PauseMs(1);
+      // pressure; wait until the hub drains some, then retry.
+      pollfd p{fd_, POLLOUT, 0};
+      (void)::poll(&p, 1, -1);
       continue;
     }
     CloseFd();
@@ -195,6 +198,18 @@ std::vector<TransportMessage> SocketTransport::Poll(NodeId /*self*/) {
   std::vector<TransportMessage> out;
   out.swap(pending_);
   return out;
+}
+
+bool SocketTransport::Wait(int timeout_ms) {
+  if (!pending_.empty() || all_done_) return true;
+  if (fd_ < 0) {
+    PauseMs(timeout_ms);
+    return false;
+  }
+  pollfd p{fd_, POLLIN, 0};
+  // Capped: the caller's watchdog counts idle passes, so each idle pass
+  // must still end within timeout_ms when nothing arrives.
+  return ::poll(&p, 1, timeout_ms) > 0;  // rnt-lint: allow(wall-clock-wait)
 }
 
 bool SocketTransport::SendHeartbeat(const HeartbeatFrame& f) {

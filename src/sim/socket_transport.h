@@ -63,6 +63,13 @@ class SocketTransport final : public Transport {
   /// True once the hub broadcast kAllDone (observed by some Poll).
   bool AllDone() const { return all_done_; }
 
+  /// The idle wait: blocks until the hub connection is readable (a
+  /// summary or kAllDone arrived) or `timeout_ms` passes. Returns at
+  /// once when frames are already pending or kAllDone was seen; with the
+  /// link down it sleeps the timeout out (the next Poll reconnects).
+  /// True when something is ready to Poll.
+  bool Wait(int timeout_ms);
+
   /// Times the link went down and was re-established (kHello resent).
   std::uint64_t reconnects() const { return reconnects_; }
 

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <csignal>
 #include <cstring>
-#include <ctime>
 #include <memory>
 #include <string>
 #include <utility>
 #include <variant>
 #include <vector>
 
-#include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -25,15 +23,17 @@ namespace {
 
 using dist::DistEvent;
 
-void PauseMs(int ms) { (void)::poll(nullptr, 0, ms); }
+/// Longest wait for a hub event between two looks at the children. It
+/// bounds how late a stamp-triggered kill or rebirth and a child's death
+/// are noticed: summary frames move the hub clock without a signal, and
+/// a dying child closes its socket before it can be reaped.
+constexpr int kSupervisorWaitCapMs = 2;
+/// Hub-clock silence that counts as quiescence: every live node is
+/// stalled (or done), so waiting longer for a trigger or rebirth stamp
+/// cannot help — the clock only advances with node events and watchdog
+/// ticks.
+constexpr std::int64_t kQuiescentMs = 500;
 
-/// Monotonic milliseconds for the wall deadline (liveness only;
-/// outcomes are replay-certified from the durable traces).
-std::int64_t NowMs() {
-  timespec ts{};
-  (void)::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::int64_t>(ts.tv_sec) * 1000 + ts.tv_nsec / 1000000;
-}
 
 struct Child {
   pid_t pid = -1;
@@ -137,17 +137,15 @@ StatusOr<MultiProcessRun> RunMultiProcess(const SupervisorOptions& options) {
   run.acked_at_kill.assign(k, 0);
   run.recovered_scalar.assign(k, 0);
 
-  const std::int64_t start_ms = NowMs();
+  const std::int64_t start_ms = MonotonicMs();
   std::uint64_t last_clock = 0;
-  int quiet_polls = 0;
-  // ~0.5s of hub-clock silence = quiescence: every live node is stalled
-  // (or done), so waiting longer for a trigger/rebirth stamp cannot help
-  // — the clock only advances with node events and watchdog ticks.
-  constexpr int kQuiescentPolls = 250;
+  std::int64_t clock_moved_ms = start_ms;
+  std::uint64_t seen = 0;  // hub progress count, for AwaitProgress
   bool shutdown = false;
 
   while (!shutdown) {
-    if (NowMs() - start_ms > options.deadline_ms) {
+    const std::int64_t now_ms = MonotonicMs();
+    if (now_ms - start_ms > options.deadline_ms) {
       const std::string diag = DescribeNodes(hub.Snapshot(), children);
       kill_all();
       return Status::Timeout("multi-process run exceeded " +
@@ -163,9 +161,11 @@ StatusOr<MultiProcessRun> RunMultiProcess(const SupervisorOptions& options) {
       run.recovered_scalar[i] =
           std::max(run.recovered_scalar[i], snap[i].recovered_scalar);
     }
-    quiet_polls = observed == last_clock ? quiet_polls + 1 : 0;
-    last_clock = observed;
-    const bool quiesced = quiet_polls >= kQuiescentPolls;
+    if (observed != last_clock) {
+      last_clock = observed;
+      clock_moved_ms = now_ms;
+    }
+    const bool quiesced = now_ms - clock_moved_ms >= kQuiescentMs;
 
     // Unexpected deaths: any child exiting before kAllDone is a failure
     // (nodes only exit on their own after the broadcast or a terminal
@@ -239,7 +239,7 @@ StatusOr<MultiProcessRun> RunMultiProcess(const SupervisorOptions& options) {
       acted = true;
     }
     if (acted) {
-      quiet_polls = 0;
+      clock_moved_ms = MonotonicMs();
       continue;
     }
 
@@ -259,7 +259,7 @@ StatusOr<MultiProcessRun> RunMultiProcess(const SupervisorOptions& options) {
       shutdown = true;
       break;
     }
-    PauseMs(2);
+    seen = hub.AwaitProgress(seen, kSupervisorWaitCapMs);
   }
 
   // Graceful drain: children exit 0 after acting on kAllDone.
@@ -344,7 +344,8 @@ StatusOr<MultiProcessRun> RunMultiProcess(const SupervisorOptions& options) {
   }
 
   run.stats.crashes = static_cast<std::uint64_t>(run.kills);
-  run.stats.dropped_msgs = run.hub.dropped + run.hub.partitioned;
+  run.stats.dropped_msgs =
+      run.hub.dropped + run.hub.partitioned + run.hub.unrouted;
   run.stats.duplicated_msgs = run.hub.duplicated;
   run.stats.delayed_msgs = run.hub.delayed;
   for (const DistEvent& e : run.events) {
@@ -368,6 +369,7 @@ StatusOr<MultiProcessRun> RunMultiProcess(const SupervisorOptions& options) {
   for (NodeId i = 0; i < k; ++i) {
     run.stats.recovered_nodes +=
         final_snap[i].ever_recovered ? children[i].incarnation : 0;
+    run.stats.retries += final_snap[i].retries;
   }
   return run;
 }

@@ -121,6 +121,7 @@ std::string EncodeHeartbeat(const HeartbeatFrame& f) {
   PutU64(body, f.clock);
   body.push_back(static_cast<char>((f.done ? 1 : 0) | (f.gave_up ? 2 : 0)));
   PutU64(body, f.acked_scalar);
+  PutU64(body, f.retries);
   return Finish(FrameType::kHeartbeat, body);
 }
 
@@ -161,7 +162,8 @@ Status DrainFrames(std::string& buf, std::vector<Frame>& out) {
         f.type = FrameType::kHeartbeat;
         std::uint8_t flags = 0;
         ok = r.U32(f.heartbeat.node) && r.U64(f.heartbeat.clock) &&
-             r.U8(flags) && r.U64(f.heartbeat.acked_scalar);
+             r.U8(flags) && r.U64(f.heartbeat.acked_scalar) &&
+             r.U64(f.heartbeat.retries);
         f.heartbeat.done = (flags & 1) != 0;
         f.heartbeat.gave_up = (flags & 2) != 0;
         break;

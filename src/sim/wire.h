@@ -31,7 +31,8 @@ enum class FrameType : std::uint8_t {
   /// A summary transmission, either direction (the hub routes it).
   kSummary = 2,
   /// node → hub liveness + progress: Lamport clock, done/gave-up flags,
-  /// and the durably-acknowledged retention scalar.
+  /// the durably-acknowledged retention scalar, and the watchdog's
+  /// retry count.
   kHeartbeat = 3,
   /// hub → node: every node is done; finish up and exit cleanly.
   kAllDone = 4,
@@ -61,6 +62,8 @@ struct HeartbeatFrame {
   bool done = false;
   bool gave_up = false;
   std::uint64_t acked_scalar = 0;
+  /// Anti-entropy retries this incarnation's watchdog has fired so far.
+  std::uint64_t retries = 0;
 };
 
 struct Frame {

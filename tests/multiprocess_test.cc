@@ -118,6 +118,9 @@ TEST(MultiProcessTest, UnixBackendMatchesInProcessNoFaults) {
   ASSERT_TRUE(run.ok()) << run.status();
   EXPECT_TRUE(run->complete);
   EXPECT_EQ(run->kills, 0);
+  // Start-up frames wait at the hub for their target's first hello, so
+  // a fault-free run loses none.
+  EXPECT_EQ(run->hub.unrouted, 0u);
   JudgeRun(spec, *run, *oracle);
 }
 
@@ -203,6 +206,10 @@ TEST(MultiProcessTest, SurvivesCompoundingKillsAndPartitions) {
         << "node " << i << " lost acknowledged retention";
   }
   EXPECT_GT(run->stats.recovered_nodes, 0u);
+  // Lost frames are repaired only by the watchdog's anti-entropy; its
+  // retries reach the supervisor through the heartbeats.
+  EXPECT_GT(run->stats.retries, 0u);
+  EXPECT_GT(run->stats.dropped_msgs, 0u);
   JudgeRun(spec, *run, *oracle);
 }
 

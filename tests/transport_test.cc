@@ -104,6 +104,7 @@ TEST(WireTest, FrameCodecsRoundTripThroughDrain) {
   hb.done = true;
   hb.gave_up = false;
   hb.acked_scalar = 17;
+  hb.retries = 4;
 
   std::string stream = EncodeHello(hello) + EncodeSummaryFrame(summary) +
                        EncodeHeartbeat(hb) + EncodeAllDone();
@@ -132,6 +133,7 @@ TEST(WireTest, FrameCodecsRoundTripThroughDrain) {
   EXPECT_TRUE(frames[2].heartbeat.done);
   EXPECT_FALSE(frames[2].heartbeat.gave_up);
   EXPECT_EQ(frames[2].heartbeat.acked_scalar, hb.acked_scalar);
+  EXPECT_EQ(frames[2].heartbeat.retries, hb.retries);
 
   EXPECT_EQ(frames[3].type, FrameType::kAllDone);
 }
@@ -182,6 +184,15 @@ TEST(WireTest, DrainFramesRejectsGarbage) {
     std::string good = EncodeHello(HelloFrame{});
     std::string buf = good.substr(0, good.size() - 3);
     buf[0] = static_cast<char>(good.size() - 4 - 3);  // len covers the cut
+    std::vector<Frame> frames;
+    EXPECT_EQ(DrainFrames(buf, frames).code(), StatusCode::kDataLoss);
+  }
+  {
+    // Heartbeat cut before its retry count: the layout without it is
+    // not accepted as a heartbeat with zero retries.
+    std::string good = EncodeHeartbeat(HeartbeatFrame{});
+    std::string buf = good.substr(0, good.size() - 8);
+    buf[0] = static_cast<char>(good.size() - 4 - 8);  // len covers the cut
     std::vector<Frame> frames;
     EXPECT_EQ(DrainFrames(buf, frames).code(), StatusCode::kDataLoss);
   }

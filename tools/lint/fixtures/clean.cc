@@ -1,11 +1,14 @@
 // lint-as: src/sim/fixture_clean.cc
 // Fixture: the idiomatic shape of a concurrent+deterministic component —
 // annotated wrapper mutex, seeded randomness left to common/random.h,
-// ordered containers keyed by stable ids, smart-pointer ownership, and a
-// justified per-line suppression. Must lint clean.
+// ordered containers keyed by stable ids, smart-pointer ownership, an
+// untimed poll() that waits only for its event, and a justified per-line
+// suppression. Must lint clean.
 #include <cstdint>
 #include <map>
 #include <memory>
+
+#include <poll.h>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -28,6 +31,12 @@ class CleanComponent {
   std::map<std::uint64_t, int> values_ GUARDED_BY(mu_);
   std::unique_ptr<int> owned_ = std::make_unique<int>(0);
 };
+
+// Blocking until the fd is readable paces nothing on the wall clock.
+inline bool WaitReadable(int fd) {
+  pollfd p{fd, POLLIN, 0};
+  return ::poll(&p, 1, -1) > 0;
+}
 
 // A lock-free handoff may own raw nodes when every path provably frees;
 // the suppression documents it.

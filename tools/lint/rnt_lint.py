@@ -32,15 +32,18 @@ where the compiler cannot:
   pointer-keyed        std::map/std::set keyed by a raw pointer in src/sim
                        and src/dist iterate in address order, which varies
                        run to run. Key by a stable id instead.
-  wall-clock-wait      sleep_for / sleep_until / wait_for / wait_until /
-                       steady_clock reads are banned in src/sim and
-                       src/dist: a timed wait paces the simulation on the
-                       OS scheduler, so outcomes (retry counts, message
-                       interleavings) stop being functions of the seed.
-                       Pace on the logical clock or spin counters; a
-                       liveness-only poll that provably cannot change any
-                       recorded outcome may suppress per line (e.g. the
-                       parallel runner's supervisor poll).
+  wall-clock-wait      sleep_for / sleep_until / wait_for / wait_until,
+                       usleep / nanosleep, steady_clock and clock_gettime
+                       reads, and poll() with a timeout other than -1
+                       (the `poll(nullptr, 0, ms)` sleep or a capped wait
+                       on fds) are banned in src/sim and src/dist: a timed
+                       wait paces the simulation on the OS scheduler, so
+                       outcomes (retry counts, message interleavings) stop
+                       being functions of the seed. Pace on the logical
+                       clock or spin counters; a liveness-only wait that
+                       provably cannot change any recorded outcome may
+                       suppress per line (e.g. the parallel runner's
+                       supervisor poll, a reconnect backoff).
   owning-new           naked `new` / `delete` outside a smart-pointer
                        expression, anywhere under src/. Lock-free
                        structures that genuinely hand ownership through a
@@ -77,7 +80,8 @@ Fixtures (tools/lint/fixtures/) declare the path they should be linted
 as via a first-line `// lint-as: <relpath>` directive, so rule scoping
 can be exercised from outside src/. `--selftest` runs every fixture and
 checks that each bad_<rule>.cc trips exactly its rule and clean.cc trips
-nothing.
+nothing. A fixture line carrying a `lint-expect` comment must itself be
+flagged with the fixture's rule, so each red case counts on its own.
 
 Exit status: 0 clean, 1 violations found, 2 usage/internal error.
 """
@@ -110,6 +114,7 @@ RAW_MUTEX_EXEMPT = {"src/common/mutex.h"}
 
 SUPPRESS_RE = re.compile(r"rnt-lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 LINT_AS_RE = re.compile(r"^//\s*lint-as:\s*(\S+)")
+EXPECT_RE = re.compile(r"//\s*lint-expect\b")
 
 
 class Violation(NamedTuple):
@@ -222,8 +227,12 @@ UNORDERED_RE = re.compile(
 POINTER_KEY_RE = re.compile(
     r"std::(map|set|multimap|multiset)\s*<\s*[^,>]*\*")
 
+# A poll() counts as timed unless its timeout is the literal -1 on the
+# same line; a method named poll (`t.poll(`, `t->poll(`) is not matched.
 WALL_CLOCK_WAIT_RE = re.compile(
-    r"(\b(sleep_for|sleep_until|wait_for|wait_until)\s*\(|steady_clock\b)")
+    r"(\b(sleep_for|sleep_until|wait_for|wait_until)\s*\(|steady_clock\b"
+    r"|\b(usleep|nanosleep|clock_nanosleep|clock_gettime)\s*\("
+    r"|(?<![\w.>])poll\s*\((?![^;]*,\s*-1\s*\)))")
 
 # The raw POSIX durability calls. The negative lookbehind rejects method
 # calls (`file.write`, `s->write`), identifiers that merely end in the
@@ -501,12 +510,18 @@ def run_selftest(root: pathlib.Path) -> int:
         name = case.stem
         if name.startswith("bad_"):
             expected = name[len("bad_"):].replace("_", "-")
-            if expected in rules_hit:
+            flagged = {v.line for v in got if v.rule == expected}
+            missed = [i + 1 for i, text in enumerate(
+                          case.read_text(encoding="utf-8").split("\n"))
+                      if EXPECT_RE.search(text) and i + 1 not in flagged]
+            if expected in rules_hit and not missed:
                 print(f"PASS {case.name}: tripped [{expected}]")
             else:
                 failures += 1
                 print(f"FAIL {case.name}: expected [{expected}], got "
-                      f"{sorted(rules_hit) or 'nothing'}", file=sys.stderr)
+                      f"{sorted(rules_hit) or 'nothing'}"
+                      + (f"; lint-expect lines not flagged: {missed}"
+                         if missed else ""), file=sys.stderr)
         else:  # clean fixtures must be accepted
             if got:
                 failures += 1
