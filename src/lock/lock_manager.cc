@@ -167,11 +167,11 @@ void LockManager::Poke(ObjectId x) {
   NotifyObject(shard, x);
 }
 
-void LockManager::OnCommit(TxnId t, TxnId parent) {
-  for (Shard& shard : shards_) {
+void LockManager::OnCommit(TxnId t, TxnId parent, ShardSet shards) {
+  ForEachShard(shards, [&](Shard& shard) {
     MutexLock lk(shard.lock_mu);
     auto it = shard.touched.find(t);
-    if (it == shard.touched.end()) continue;
+    if (it == shard.touched.end()) return;
     for (ObjectId x : it->second) {
       auto ot = shard.objects.find(x);
       if (ot == shard.objects.end()) continue;
@@ -195,14 +195,14 @@ void LockManager::OnCommit(TxnId t, TxnId parent) {
       NotifyObject(shard, x);
     }
     shard.touched.erase(t);
-  }
+  });
 }
 
-void LockManager::OnAbort(TxnId t) {
-  for (Shard& shard : shards_) {
+void LockManager::OnAbort(TxnId t, ShardSet shards) {
+  ForEachShard(shards, [&](Shard& shard) {
     MutexLock lk(shard.lock_mu);
     auto it = shard.touched.find(t);
-    if (it == shard.touched.end()) continue;
+    if (it == shard.touched.end()) return;
     for (ObjectId x : it->second) {
       auto ot = shard.objects.find(x);
       if (ot == shard.objects.end()) continue;
@@ -212,7 +212,7 @@ void LockManager::OnAbort(TxnId t) {
       NotifyObject(shard, x);
     }
     shard.touched.erase(t);
-  }
+  });
 }
 
 bool LockManager::Holds(ObjectId x, TxnId t, LockMode mode) const {

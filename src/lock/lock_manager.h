@@ -150,14 +150,29 @@ class LockManager {
   /// blocked transaction that was aborted from another thread.
   void Poke(ObjectId x);
 
+  /// A set of lock-table shards, one bit per shard index. Callers that
+  /// know where a transaction's locks live pass it to OnCommit/OnAbort so
+  /// only those shards are visited; any superset is safe, and kAllShards
+  /// (also the fallback beyond 64 shards) visits every shard.
+  using ShardSet = std::uint64_t;
+  static constexpr ShardSet kAllShards = ~ShardSet{0};
+  /// The shard holding `x`'s lock records, as a ShardSet.
+  ShardSet ShardBit(ObjectId x) const {
+    return shards_.size() > 64 ? kAllShards : ShardSet{1} << ShardIndex(x);
+  }
+
   /// Lock inheritance on commit: everything `t` holds or retains is
   /// merged into `parent`'s retained set. A top-level commit
   /// (parent == kNoTxn) releases the locks outright. Waiters of every
-  /// affected object are woken (targeted, per object).
-  void OnCommit(TxnId t, TxnId parent);
+  /// affected object are woken (targeted, per object). `shards` must
+  /// cover every shard where `t` holds or retains a lock; the parent
+  /// inherits into those same shards, so the caller adds them to the
+  /// parent's set before calling.
+  void OnCommit(TxnId t, TxnId parent, ShardSet shards = kAllShards);
 
   /// Lock discard on abort. Waiters of every affected object are woken.
-  void OnAbort(TxnId t);
+  /// `shards` as for OnCommit.
+  void OnAbort(TxnId t, ShardSet shards = kAllShards);
 
   // Introspection (tests, benches).
   bool Holds(ObjectId x, TxnId t, LockMode mode) const;
@@ -214,6 +229,14 @@ class LockManager {
   }
   Shard& ShardFor(ObjectId x) { return shards_[ShardIndex(x)]; }
   const Shard& ShardFor(ObjectId x) const { return shards_[ShardIndex(x)]; }
+  /// Calls fn(shard) for every shard in `shards`, in index order.
+  template <typename Fn>
+  void ForEachShard(ShardSet shards, Fn fn) {
+    const bool all = shards_.size() > 64;
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      if (all || ((shards >> i) & 1) != 0) fn(shards_[i]);
+    }
+  }
 
   LockMode Effective(LockMode m) const {
     return options_.single_mode ? LockMode::kWrite : m;

@@ -12,6 +12,12 @@ constexpr std::uint8_t kActive = 0;
 constexpr std::uint8_t kCommitted = 1;
 constexpr std::uint8_t kAborted = 2;
 
+/// A transaction (or the root) is quiet once done with every live child
+/// quiet; the root never is.
+bool TxnQuiet(lock::TxnId id, std::uint8_t status, std::uint32_t unsettled) {
+  return id != lock::kNoTxn && status != kActive && unsettled == 0;
+}
+
 }  // namespace
 
 OnlineChecker::OnlineChecker() : OnlineChecker(Options()) {}
@@ -20,10 +26,9 @@ OnlineChecker::OnlineChecker(Options options) : options_(options) {
   MutexLock l(checker_mu_);
   // The virtual root U: active forever, anchored by definition (perm(T)
   // is the subtree visible to U).
-  Vertex root;
-  root.parent = lock::kNoTxn;
+  Vertex& root = vertices_[lock::kNoTxn];
   root.anchored = true;
-  vertices_.emplace(lock::kNoTxn, std::move(root));
+  root.interior = std::make_unique<Interior>();
 }
 
 void OnlineChecker::Latch(Outcome outcome, std::size_t index,
@@ -44,185 +49,268 @@ OnlineChecker::Vertex* OnlineChecker::Find(lock::TxnId id) {
   return it == vertices_.end() ? nullptr : &it->second;
 }
 
-void OnlineChecker::AdvanceFrontier(ObjectId x, std::size_t event_index) {
-  Window& w = windows_[x];
-  while (!w.slots.empty() && w.slots.front().state != Slot::kPending) {
-    Slot s = w.slots.front();
-    w.slots.pop_front();
+bool OnlineChecker::IsTombstone(lock::TxnId id) const {
+  return !dead_tombstones_.empty() && dead_tombstones_.count(id) != 0;
+}
+
+void OnlineChecker::Attach(Vertex& v, Vertex* parent) {
+  if (parent == nullptr) {
+    // A retired aborted ancestor: (a1) still admits the create; the
+    // vertex is dead at birth and, unreachable from the root, is never
+    // retired.
+    v.dead = true;
+    v.detached = true;
+    return;
+  }
+  v.parent_vertex = parent;
+  v.dead = parent->dead;
+  v.detached = parent->detached;
+  Interior& in = *parent->interior;
+  v.prev_sibling = in.last_child;
+  if (in.last_child != nullptr) {
+    in.last_child->next_sibling = &v;
+  } else {
+    in.first_child = &v;
+  }
+  in.last_child = &v;
+}
+
+void OnlineChecker::SetQuiet(Vertex& v, bool quiet) {
+  if (v.quiet == quiet) return;
+  v.quiet = quiet;
+  if (quiet && options_.gc_window != 0 && !v.detached) {
+    retire_worklist_.push_back(v.id);
+  }
+  if (v.parent_vertex != nullptr) Settle(*v.parent_vertex, quiet ? -1 : 1);
+}
+
+void OnlineChecker::Settle(Vertex& v, int delta) {
+  Interior& in = *v.interior;
+  if (delta > 0) {
+    ++in.unsettled;
+  } else {
+    --in.unsettled;
+  }
+  SetQuiet(v, TxnQuiet(v.id, v.status, in.unsettled));
+}
+
+void OnlineChecker::AdvanceFrontier(Window& w, ObjectId x,
+                                    std::size_t event_index) {
+  while (w.head < w.slots.size() && w.slots[w.head].state != Slot::kPending) {
+    const Slot s = w.slots[w.head++];
     ++w.base;
     --current_slots_;
     if (s.state == Slot::kPerm) {
-      if (s.label != w.fold) {
+      Vertex& a = *s.access;
+      if (a.label != w.fold) {
         std::ostringstream os;
-        os << "version incompatibility: datastep " << s.id << " on object "
-           << x << " saw " << s.label << " but its perm predecessors fold to "
+        os << "version incompatibility: datastep " << a.id << " on object "
+           << x << " saw " << a.label << " but its perm predecessors fold to "
            << w.fold;
         Latch(Outcome::kNotSerializable, event_index, os.str(), {});
-        return;
+        break;
       }
-      w.fold = s.update.Apply(w.fold);
+      w.fold = a.update.Apply(w.fold);
+      SetQuiet(a, true);  // anchored and popped
     }
+  }
+  if (w.head == w.slots.size()) {
+    // Fully determined: give the slot storage back, keep fold + position.
+    if (!w.slots.empty()) {
+      std::vector<Slot>().swap(w.slots);
+      w.head = 0;
+      --open_windows_;
+    }
+    if (w.deferred) {
+      deferred_windows_.erase(x);
+      w.deferred = false;
+    }
+  } else if (w.head >= 32 && 2 * w.head >= w.slots.size()) {
+    // A long-lived window (a hot object never fully determined) drops its
+    // popped prefix once that is half the vector: pops stay amortized O(1).
+    w.slots.erase(w.slots.begin(), w.slots.begin() + w.head);
+    w.head = 0;
   }
 }
 
-void OnlineChecker::AddEdge(lock::TxnId group, lock::TxnId from,
-                            lock::TxnId to, std::size_t event_index) {
+void OnlineChecker::AddEdge(const Vertex& group, Vertex* from, Vertex* to,
+                            std::size_t event_index) {
   if (from == to) return;
-  Vertex* g = Find(group);
-  if (g == nullptr) return;
-  if (!g->out_edges[from].insert(to).second) return;  // already present
-  ++g->in_degree[to];
+  auto at = std::lower_bound(
+      from->out.begin(), from->out.end(), to->id,
+      [](const Vertex* a, lock::TxnId id) { return a->id < id; });
+  if (at != from->out.end() && *at == to) return;  // already present
+  from->out.insert(at, to);
+  ++to->in_degree;
   ++current_edges_;
   ++stats_.edges_inserted;
   // Incremental cycle check: the new edge closes a cycle iff `from` is
-  // reachable from `to` in the group's live graph. BFS over ordered
-  // neighbor sets keeps the witness deterministic and shortest.
-  std::map<lock::TxnId, lock::TxnId> bfs_parent;
-  std::deque<lock::TxnId> queue;
-  bfs_parent.emplace(to, to);
-  queue.push_back(to);
-  bool found = (to == from);
-  while (!queue.empty() && !found) {
-    lock::TxnId n = queue.front();
-    queue.pop_front();
-    auto it = g->out_edges.find(n);
-    if (it == g->out_edges.end()) continue;
-    for (lock::TxnId next : it->second) {
-      if (!bfs_parent.emplace(next, n).second) continue;
+  // reachable from `to` in the group's live graph — never when `to` has
+  // no out-edges. BFS over id-sorted out-lists keeps the witness
+  // deterministic and shortest; epoch marks stand in for a visited set.
+  if (to->out.empty()) return;
+  const std::uint64_t mark = ++bfs_epoch_;
+  bfs_queue_.clear();
+  to->bfs_mark = mark;
+  to->bfs_parent = to;
+  bfs_queue_.push_back(to);
+  bool found = false;
+  for (std::size_t head = 0; head < bfs_queue_.size() && !found; ++head) {
+    Vertex* n = bfs_queue_[head];
+    for (Vertex* next : n->out) {
+      if (next->bfs_mark == mark) continue;
+      next->bfs_mark = mark;
+      next->bfs_parent = n;
       if (next == from) {
         found = true;
         break;
       }
-      queue.push_back(next);
+      bfs_queue_.push_back(next);
     }
   }
   if (!found) return;
   // Witness cycle from -> to -> ... -> from, reported without repeating
   // the first vertex.
-  std::vector<lock::TxnId> path;  // from back to `to`
-  for (lock::TxnId n = from; n != to; n = bfs_parent.at(n)) path.push_back(n);
-  path.push_back(to);
-  std::vector<lock::TxnId> witness;
-  witness.push_back(from);
-  for (auto it = path.rbegin(); it != path.rend(); ++it) {
-    if (*it != from) witness.push_back(*it);
+  std::vector<lock::TxnId> witness{from->id, to->id};
+  std::vector<lock::TxnId> back;  // from's BFS ancestors, nearest first
+  for (Vertex* n = from->bfs_parent; n != to; n = n->bfs_parent) {
+    back.push_back(n->id);
   }
+  witness.insert(witness.end(), back.rbegin(), back.rend());
   std::ostringstream os;
   os << "sibling-data cycle of length " << witness.size()
-     << " among children of " << group << ":";
+     << " among children of " << group.id << ":";
   for (lock::TxnId n : witness) os << " " << n;
   Latch(Outcome::kNotSerializable, event_index, os.str(), std::move(witness));
 }
 
-void OnlineChecker::JoinPerm(lock::TxnId id, std::size_t event_index) {
-  Vertex& v = *Find(id);
-  Window& w = windows_[v.object];
+void OnlineChecker::JoinPerm(Vertex& v, std::size_t event_index) {
+  const ObjectId x = v.object;
+  Window& w = *v.window;
   // Flip this datastep's slot to perm; the determined frontier may now
   // advance (and check labels) past it.
-  w.slots[static_cast<std::size_t>(v.pos - w.base)].state = Slot::kPerm;
-  AdvanceFrontier(v.object, event_index);
+  w.slots[w.head + static_cast<std::size_t>(v.pos - w.base)].state =
+      Slot::kPerm;
+  AdvanceFrontier(w, x, event_index);
   if (latched_.has_value()) return;
-  if (v.pos >= windows_[v.object].base) {
+  if (v.pos >= w.base) {
     // Still behind a pending datastep: a Lemma 10(c) breach — some
     // earlier datastep on the object is neither dead nor in perm. Its
     // version check stays deferred until the window determines.
     ++stats_.deferred_joins;
+    if (!w.deferred) {
+      w.deferred = true;
+      deferred_windows_.insert(x);
+    }
   }
   // Lift the new datastep to every sibling group on its ancestor chain,
   // deciding edges against each group's aggregated spans.
   const std::uint64_t p = v.pos;
-  const ObjectId x = v.object;
   // Conflict classification derives from the update's *effect*
   // (IsIdentity), not its kRead tag: an adversarial trace that labels a
   // mutating access as a read still contributes write spans, so the rw
   // relaxation cannot be talked out of an edge (ROADMAP kRw trust hole).
   const bool is_read = v.update.IsIdentity();
-  lock::TxnId c = id;
-  lock::TxnId n = v.parent;
-  for (;;) {
-    Vertex* g = Find(n);
-    if (g == nullptr) return;  // unreachable for anchored chains
-    auto& per_obj = g->spans[x];
-    for (const auto& [c2, span] : per_obj) {
-      if (c2 == c) continue;  // same subtree: no sibling edge
-      // In rw mode a read conflicts only with non-reads; a non-read (or
-      // single mode) conflicts with every access.
-      const bool writes_only = options_.mode == Mode::kRw && is_read;
+  // In rw mode a read conflicts only with non-reads; a non-read (or
+  // single mode) conflicts with every access.
+  const bool writes_only = options_.mode == Mode::kRw && is_read;
+  Vertex* c = &v;
+  for (Vertex* g = v.parent_vertex; g != nullptr;
+       c = g, g = g->parent_vertex) {
+    std::vector<SpanEntry>& per_obj = g->interior->spans[x];
+    std::size_t mine = per_obj.size();
+    for (std::size_t i = 0; i < per_obj.size(); ++i) {
+      Vertex* c2 = per_obj[i].child;
+      if (c2 == c) {  // same subtree: no sibling edge
+        mine = i;
+        continue;
+      }
+      const ChildSpan& span = per_obj[i].span;
       if (writes_only ? !span.has_write : !span.has_any) continue;
       const std::uint64_t mn = writes_only ? span.min_write : span.min_any;
       const std::uint64_t mx = writes_only ? span.max_write : span.max_any;
       if (mn < p) {
-        AddEdge(n, c2, c, event_index);
+        AddEdge(*g, c2, c, event_index);
         if (latched_.has_value()) return;
       }
       if (mx > p) {
-        AddEdge(n, c, c2, event_index);
+        AddEdge(*g, c, c2, event_index);
         if (latched_.has_value()) return;
       }
     }
-    ChildSpan& mine = per_obj[c];
-    if (!mine.has_any) {
-      mine.min_any = mine.max_any = p;
-      mine.has_any = true;
+    if (mine == per_obj.size()) {
+      auto at = std::lower_bound(
+          per_obj.begin(), per_obj.end(), c->id,
+          [](const SpanEntry& e, lock::TxnId id) { return e.child->id < id; });
+      mine = static_cast<std::size_t>(at - per_obj.begin());
+      per_obj.insert(at, SpanEntry{c, ChildSpan{}});
+      if (!c->is_access) c->interior->span_objects.push_back(x);
+    }
+    ChildSpan& s = per_obj[mine].span;
+    if (!s.has_any) {
+      s.min_any = s.max_any = p;
+      s.has_any = true;
     } else {
-      mine.min_any = std::min(mine.min_any, p);
-      mine.max_any = std::max(mine.max_any, p);
+      s.min_any = std::min(s.min_any, p);
+      s.max_any = std::max(s.max_any, p);
     }
     if (!is_read) {
-      if (!mine.has_write) {
-        mine.min_write = mine.max_write = p;
-        mine.has_write = true;
+      if (!s.has_write) {
+        s.min_write = s.max_write = p;
+        s.has_write = true;
       } else {
-        mine.min_write = std::min(mine.min_write, p);
-        mine.max_write = std::max(mine.max_write, p);
+        s.min_write = std::min(s.min_write, p);
+        s.max_write = std::max(s.max_write, p);
       }
     }
-    if (n == lock::kNoTxn) return;  // processed the root group: done
-    c = n;
-    n = g->parent;
   }
 }
 
-void OnlineChecker::AnchorSubtree(lock::TxnId id, std::size_t event_index) {
+void OnlineChecker::AnchorSubtree(Vertex* top, std::size_t event_index) {
   // Anchoring avalanche: when a vertex joins perm, its already-committed
   // descendants join with it. Iterative DFS, children in creation order.
-  std::vector<lock::TxnId> stack{id};
-  while (!stack.empty()) {
+  walk_.assign(1, top);
+  while (!walk_.empty()) {
     if (latched_.has_value()) return;
-    lock::TxnId cur = stack.back();
-    stack.pop_back();
-    Vertex* v = Find(cur);
-    if (v == nullptr || v->anchored || v->dead) continue;
+    Vertex* v = walk_.back();
+    walk_.pop_back();
+    if (v->anchored || v->dead) continue;
     v->anchored = true;
     if (v->is_access) {
-      JoinPerm(cur, event_index);
+      JoinPerm(*v, event_index);
       continue;
     }
-    for (auto it = v->children.rbegin(); it != v->children.rend(); ++it) {
-      Vertex* ch = Find(*it);
-      if (ch != nullptr && ch->status == kCommitted && !ch->dead) {
-        stack.push_back(*it);
-      }
+    for (Vertex* ch = v->interior->last_child; ch != nullptr;
+         ch = ch->prev_sibling) {
+      if (ch->status == kCommitted && !ch->dead) walk_.push_back(ch);
     }
   }
 }
 
-void OnlineChecker::MarkDeadSubtree(lock::TxnId id, std::size_t event_index) {
-  std::vector<lock::TxnId> stack{id};
-  while (!stack.empty()) {
-    lock::TxnId cur = stack.back();
-    stack.pop_back();
-    Vertex* v = Find(cur);
-    if (v == nullptr || v->dead) continue;
+void OnlineChecker::MarkDeadSubtree(Vertex* top, std::size_t event_index) {
+  walk_.assign(1, top);
+  while (!walk_.empty()) {
+    Vertex* v = walk_.back();
+    walk_.pop_back();
+    if (v->dead) continue;
     v->dead = true;
-    if (v->is_access && !v->anchored) {
-      Window& w = windows_[v->object];
+    if (!v->is_access) {
+      for (Vertex* ch = v->interior->first_child; ch != nullptr;
+           ch = ch->next_sibling) {
+        walk_.push_back(ch);
+      }
+      continue;
+    }
+    if (!v->anchored) {
+      Window& w = *v->window;
       if (v->pos >= w.base) {
-        w.slots[static_cast<std::size_t>(v->pos - w.base)].state = Slot::kDead;
-        AdvanceFrontier(v->object, event_index);
+        Slot& s = w.slots[w.head + static_cast<std::size_t>(v->pos - w.base)];
+        s.state = Slot::kDead;
+        s.access = nullptr;
+        AdvanceFrontier(w, v->object, event_index);
       }
     }
-    for (lock::TxnId ch : v->children) stack.push_back(ch);
+    SetQuiet(*v, true);
   }
 }
 
@@ -242,13 +330,12 @@ void OnlineChecker::Append(const TraceEvent& e) {
         invalid("begin of the virtual root");
         break;
       }
-      if (Find(e.id) != nullptr || dead_tombstones_.count(e.id) != 0) {
+      if (Find(e.id) != nullptr || IsTombstone(e.id)) {
         invalid("create precondition (duplicate action)");
         break;
       }
-      Vertex v;
-      v.parent = e.parent;
-      if (Vertex* p = Find(e.parent); p != nullptr) {
+      Vertex* p = Find(e.parent);
+      if (p != nullptr) {
         if (p->is_access) {
           invalid("create precondition (parent is an access)");
           break;
@@ -257,18 +344,18 @@ void OnlineChecker::Append(const TraceEvent& e) {
           invalid("create precondition (parent committed)");
           break;
         }
-        v.dead = p->dead;
-        p->children.push_back(e.id);
-        ++p->open_children;
-      } else if (dead_tombstones_.count(e.parent) != 0) {
-        // A retired aborted ancestor: (a1) still admits the create; the
-        // child is dead at birth and can never influence the verdict.
-        v.dead = true;
-      } else {
+      } else if (!IsTombstone(e.parent)) {
         invalid("begin under unknown parent");
         break;
       }
-      vertices_.emplace(e.id, std::move(v));
+      Vertex& v = vertices_[e.id];
+      v.id = e.id;
+      v.interior = std::make_unique<Interior>();
+      Attach(v, p);
+      if (p != nullptr) {
+        ++p->interior->open_children;
+        Settle(*p, 1);  // an active child unsettles its parent
+      }
       break;
     }
     case TraceEvent::Kind::kCommit: {
@@ -285,14 +372,15 @@ void OnlineChecker::Append(const TraceEvent& e) {
         invalid("commit precondition");
         break;
       }
-      if (v->open_children != 0) {
+      if (v->interior->open_children != 0) {
         invalid("commit precondition (active child)");
         break;
       }
       v->status = kCommitted;
-      if (Vertex* p = Find(v->parent); p != nullptr) {
-        if (p->open_children > 0) --p->open_children;
-        if (p->anchored && !v->dead) AnchorSubtree(e.id, idx);
+      SetQuiet(*v, TxnQuiet(v->id, v->status, v->interior->unsettled));
+      if (Vertex* p = v->parent_vertex; p != nullptr) {
+        if (p->interior->open_children > 0) --p->interior->open_children;
+        if (p->anchored && !v->dead) AnchorSubtree(v, idx);
       }
       break;
     }
@@ -306,15 +394,17 @@ void OnlineChecker::Append(const TraceEvent& e) {
         invalid("abort of unknown or retired action");
         break;
       }
-      if (v->status != kActive) {
+      if (v->status != kActive) {  // accesses are committed at perform
         invalid("abort precondition");
         break;
       }
       v->status = kAborted;
-      if (Vertex* p = Find(v->parent); p != nullptr && p->open_children > 0) {
-        --p->open_children;
+      SetQuiet(*v, TxnQuiet(v->id, v->status, v->interior->unsettled));
+      if (Vertex* p = v->parent_vertex;
+          p != nullptr && p->interior->open_children > 0) {
+        --p->interior->open_children;
       }
-      MarkDeadSubtree(e.id, idx);
+      MarkDeadSubtree(v, idx);
       break;
     }
     case TraceEvent::Kind::kPerform: {
@@ -322,18 +412,12 @@ void OnlineChecker::Append(const TraceEvent& e) {
         invalid("perform of the virtual root");
         break;
       }
-      if (Find(e.id) != nullptr || dead_tombstones_.count(e.id) != 0) {
+      if (Find(e.id) != nullptr || IsTombstone(e.id)) {
         invalid("access create precondition (duplicate action)");
         break;
       }
-      Vertex v;
-      v.parent = e.parent;
-      v.is_access = true;
-      v.object = e.object;
-      v.update = e.update;
-      v.label = e.seen;
-      bool parent_anchored = false;
-      if (Vertex* p = Find(e.parent); p != nullptr) {
+      Vertex* p = Find(e.parent);
+      if (p != nullptr) {
         if (p->is_access) {
           invalid("access create precondition (parent is an access)");
           break;
@@ -342,136 +426,125 @@ void OnlineChecker::Append(const TraceEvent& e) {
           invalid("access create precondition (parent committed)");
           break;
         }
-        v.dead = p->dead;
-        parent_anchored = p->anchored;
-        p->children.push_back(e.id);
-      } else if (dead_tombstones_.count(e.parent) != 0) {
-        v.dead = true;
-      } else {
+      } else if (!IsTombstone(e.parent)) {
         invalid("perform under unknown transaction");
         break;
       }
+      Vertex& v = vertices_[e.id];
+      v.id = e.id;
+      v.is_access = true;
+      v.object = e.object;
+      v.update = e.update;
+      v.label = e.seen;
+      Attach(v, p);
       // The perform commits the access and appends it to data_T (d23):
       // one new window slot at the end of the object's order.
       v.status = kCommitted;
       Window& w = windows_[e.object];
-      v.pos = w.next_pos++;
-      const bool dead = v.dead;
-      vertices_.emplace(e.id, std::move(v));
-      Slot s;
-      s.id = e.id;
-      s.update = e.update;
-      s.label = e.seen;
-      s.state = dead ? Slot::kDead : Slot::kPending;
-      w.slots.push_back(s);
+      v.window = &w;
+      v.pos = w.next_pos();
+      if (w.slots.empty()) ++open_windows_;
+      w.slots.push_back(
+          Slot{v.dead ? nullptr : &v, v.dead ? Slot::kDead : Slot::kPending});
       ++current_slots_;
-      if (dead) {
-        AdvanceFrontier(e.object, idx);
-      } else if (parent_anchored) {
+      if (v.dead) {
+        // Quiet at birth: it never counted against its parent.
+        v.quiet = true;
+        if (options_.gc_window != 0 && !v.detached) {
+          retire_worklist_.push_back(v.id);
+        }
+        AdvanceFrontier(w, e.object, idx);
+      } else {
+        Settle(*p, 1);
         // Only the root is both active and anchored: an access performed
         // directly under U joins perm immediately.
-        AnchorSubtree(e.id, idx);
+        if (p->anchored) AnchorSubtree(&v, idx);
       }
       break;
     }
   }
   if (!latched_.has_value() && options_.gc_window != 0 &&
       stats_.events % options_.gc_window == 0) {
-    Sweep();
+    DrainRetirements();
   }
   UpdatePeak();
 }
 
-void OnlineChecker::Sweep() {
+void OnlineChecker::DrainRetirements() {
   ++stats_.gc_sweeps;
-  // Pass 1: quiet = done, all descendants quiet, and every access in the
-  // subtree either dead or already popped from its version window. An
-  // iterative post-order over the live tree.
-  std::map<lock::TxnId, bool> quiet;
-  std::vector<std::pair<lock::TxnId, bool>> stack{{lock::kNoTxn, false}};
-  while (!stack.empty()) {
-    auto [id, expanded] = stack.back();
-    stack.pop_back();
-    Vertex* v = Find(id);
-    if (v == nullptr) continue;
-    if (v->is_access) {
-      quiet[id] =
-          v->dead || (v->anchored && v->pos < windows_[v->object].base);
-      continue;
-    }
-    if (!expanded) {
-      stack.emplace_back(id, true);
-      for (lock::TxnId ch : v->children) stack.emplace_back(ch, false);
-      continue;
-    }
-    bool q = id != lock::kNoTxn && v->status != kActive;
-    for (lock::TxnId ch : v->children) q = q && quiet[ch];
-    quiet[id] = q;
+  // Every quiet vertex with in-degree zero retires; RetireChild cascades
+  // to the siblings it held back. A candidate that is no longer quiet
+  // re-enters the list when it turns quiet again, and one with incoming
+  // edges is reached by the cascade of the sibling that retires last.
+  for (std::size_t i = 0; i < retire_worklist_.size(); ++i) {
+    Vertex* v = Find(retire_worklist_[i]);
+    if (v == nullptr || !v->quiet || v->in_degree != 0) continue;
+    RetireChild(v);
   }
-  // Pass 2: peel each sibling group. A quiet child with in-degree zero
-  // can never gain an incoming edge (all its perm datasteps popped, so
-  // no undetermined earlier datastep can ever lift an edge into it) and
-  // therefore never lies on a future cycle: retiring it — records,
-  // spans, outgoing edges — preserves every future verdict and witness.
-  std::vector<lock::TxnId> groups;
-  for (const auto& [id, v] : vertices_) {
-    if (!v.is_access && !v.children.empty()) groups.push_back(id);
-  }
-  for (lock::TxnId gid : groups) {
-    Vertex* g = Find(gid);
-    if (g == nullptr) continue;  // retired with an earlier subtree
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      const std::vector<lock::TxnId> kids = g->children;
-      for (lock::TxnId c : kids) {
-        auto qit = quiet.find(c);
-        if (qit == quiet.end() || !qit->second) continue;
-        auto dit = g->in_degree.find(c);
-        if (dit != g->in_degree.end() && dit->second != 0) continue;
-        RetireChild(*g, c);
-        changed = true;
-      }
-    }
-  }
+  retire_worklist_.clear();
 }
 
-void OnlineChecker::RetireChild(Vertex& group, lock::TxnId child) {
-  // Drop the child's group-level footprint: outgoing edges (decrementing
-  // sibling in-degrees, which may unlock further peeling), spans, and
-  // its in-degree entry.
-  if (auto it = group.out_edges.find(child); it != group.out_edges.end()) {
-    for (lock::TxnId to : it->second) {
-      auto d = group.in_degree.find(to);
-      if (d != group.in_degree.end() && d->second > 0) --d->second;
+void OnlineChecker::RetireChild(Vertex* child) {
+  // A quiet child with in-degree zero can never gain an incoming edge
+  // (all its perm datasteps popped, so no undetermined earlier datastep
+  // can ever lift an edge into it) and therefore never lies on a future
+  // cycle: retiring it — records, spans, outgoing edges — preserves
+  // every future verdict and witness.
+  std::vector<Vertex*> ready{child};
+  while (!ready.empty()) {
+    Vertex* c = ready.back();
+    ready.pop_back();
+    Interior& group = *c->parent_vertex->interior;
+    // Drop the child's group-level footprint: outgoing edges (a sibling
+    // whose last incoming edge this was may retire next), spans, and its
+    // place in the child list.
+    for (Vertex* to : c->out) {
+      if (--to->in_degree == 0 && to->quiet) ready.push_back(to);
     }
-    current_edges_ -= it->second.size();
-    group.out_edges.erase(it);
-  }
-  group.in_degree.erase(child);
-  for (auto it = group.spans.begin(); it != group.spans.end();) {
-    it->second.erase(child);
-    it = it->second.empty() ? group.spans.erase(it) : std::next(it);
-  }
-  group.children.erase(
-      std::find(group.children.begin(), group.children.end(), child));
-  // Delete the whole subtree's records. Interior dead vertices leave a
-  // tombstone: (a1) lets future events legally begin children under an
-  // aborted action, and those children must be recognized as dead.
-  std::vector<lock::TxnId> stack{child};
-  while (!stack.empty()) {
-    lock::TxnId cur = stack.back();
-    stack.pop_back();
-    auto it = vertices_.find(cur);
-    if (it == vertices_.end()) continue;
-    Vertex& v = it->second;
-    for (lock::TxnId ch : v.children) stack.push_back(ch);
-    for (const auto& [from, outs] : v.out_edges) {
-      current_edges_ -= outs.size();
+    auto drop_span = [&](ObjectId x) {
+      auto it = group.spans.find(x);
+      if (it == group.spans.end()) return;
+      std::vector<SpanEntry>& list = it->second;
+      auto at = std::lower_bound(
+          list.begin(), list.end(), c->id,
+          [](const SpanEntry& e, lock::TxnId id) { return e.child->id < id; });
+      if (at != list.end() && at->child == c) list.erase(at);
+      if (list.empty()) group.spans.erase(it);
+    };
+    if (c->is_access) {
+      drop_span(c->object);
+    } else {
+      for (ObjectId x : c->interior->span_objects) drop_span(x);
     }
-    if (!v.is_access && v.dead) dead_tombstones_.insert(cur);
-    vertices_.erase(it);
-    ++stats_.retired_vertices;
+    if (c->prev_sibling != nullptr) {
+      c->prev_sibling->next_sibling = c->next_sibling;
+    } else {
+      group.first_child = c->next_sibling;
+    }
+    if (c->next_sibling != nullptr) {
+      c->next_sibling->prev_sibling = c->prev_sibling;
+    } else {
+      group.last_child = c->prev_sibling;
+    }
+    // Delete the whole subtree's records, with every edge inside it.
+    // Interior dead vertices leave a tombstone: (a1) lets future events
+    // legally begin children under an aborted action, and those
+    // children must be recognized as dead.
+    walk_.assign(1, c);
+    while (!walk_.empty()) {
+      Vertex* v = walk_.back();
+      walk_.pop_back();
+      if (!v->is_access) {
+        for (Vertex* ch = v->interior->first_child; ch != nullptr;
+             ch = ch->next_sibling) {
+          walk_.push_back(ch);
+        }
+        if (v->dead) dead_tombstones_.insert(v->id);
+      }
+      current_edges_ -= v->out.size();
+      vertices_.erase(v->id);
+      ++stats_.retired_vertices;
+    }
   }
 }
 
@@ -480,6 +553,7 @@ void OnlineChecker::UpdatePeak() {
   stats_.window_slots = current_slots_;
   stats_.edges = current_edges_;
   stats_.tombstones = dead_tombstones_.size();
+  stats_.open_windows = open_windows_;
   const std::uint64_t tracked = stats_.live_vertices + stats_.window_slots +
                                 stats_.edges + stats_.tombstones;
   stats_.peak_tracked = std::max(stats_.peak_tracked, tracked);
@@ -490,29 +564,31 @@ OnlineChecker::CheckResult OnlineChecker::Verdict() const {
   if (latched_.has_value()) return *latched_;
   // The determined prefixes are all clean; fold the undetermined regions
   // transiently, skipping pending (not in perm) and dead slots — exactly
-  // the post-hoc IsVersionCompatible over perm(prefix). Nonempty only on
-  // traces that breach Lemma 10(c); a later event can still heal these.
-  for (const auto& [x, w] : windows_) {
+  // the post-hoc IsVersionCompatible over perm(prefix). Only windows
+  // holding a deferred join can fail here, which happens only on traces
+  // that breach Lemma 10(c); a later event can still heal these.
+  for (ObjectId x : deferred_windows_) {
+    const Window& w = windows_.find(x)->second;
     Value v = w.fold;
     std::uint64_t pos = w.base;
-    for (const Slot& s : w.slots) {
-      if (s.state == Slot::kPerm) {
-        if (s.label != v) {
-          CheckResult r;
-          r.outcome = Outcome::kNotSerializable;
-          r.event_index =
-              stats_.events == 0 ? 0 : static_cast<std::size_t>(stats_.events - 1);
-          r.transient = true;
-          std::ostringstream os;
-          os << "version incompatibility (undetermined region): datastep "
-             << s.id << " on object " << x << " at position " << pos
-             << " saw " << s.label << " but perm predecessors fold to " << v;
-          r.detail = os.str();
-          return r;
-        }
-        v = s.update.Apply(v);
+    for (std::size_t i = w.head; i < w.slots.size(); ++i, ++pos) {
+      const Slot& s = w.slots[i];
+      if (s.state != Slot::kPerm) continue;
+      const Vertex& a = *s.access;
+      if (a.label != v) {
+        CheckResult r;
+        r.outcome = Outcome::kNotSerializable;
+        r.event_index =
+            stats_.events == 0 ? 0 : static_cast<std::size_t>(stats_.events - 1);
+        r.transient = true;
+        std::ostringstream os;
+        os << "version incompatibility (undetermined region): datastep "
+           << a.id << " on object " << x << " at position " << pos
+           << " saw " << a.label << " but perm predecessors fold to " << v;
+        r.detail = os.str();
+        return r;
       }
-      ++pos;
+      v = a.update.Apply(v);
     }
   }
   return CheckResult{};

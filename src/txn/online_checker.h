@@ -2,11 +2,12 @@
 #define RNT_TXN_ONLINE_CHECKER_H_
 
 #include <cstdint>
-#include <deque>
-#include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "action/registry.h"
@@ -64,8 +65,7 @@ namespace rnt::txn {
 /// identity reads), forged ones are flagged `transient` because a later
 /// event could still heal them.
 ///
-/// Windowed GC: every `gc_window` events the checker retires finalized
-/// subtrees — a child of a sibling group is retired once it is *quiet*
+/// Windowed GC: a child of a sibling group is retired once it is *quiet*
 /// (itself and all descendants done; every access in it dead or
 /// popped-from-its-version-window) and has in-degree zero in the live
 /// group graph. Such a child can never gain an incoming edge (any
@@ -73,7 +73,15 @@ namespace rnt::txn {
 /// which popping rules out), hence can never lie on a future cycle, so
 /// dropping its records, aggregates and outgoing edges changes no
 /// future verdict or witness: verdicts are invariant to the window
-/// size. Retired *dead* interior vertices leave one TxnId tombstone
+/// size. Quietness is kept incrementally (per interior vertex, a count
+/// of children not yet quiet); a vertex that turns quiet joins a
+/// worklist, and every `gc_window` events the worklist drains: each
+/// quiet in-degree-zero candidate retires, and its retirement cascades
+/// to siblings whose last incoming edge it held. A drain therefore costs
+/// O(what it retires), never a walk of the live tree, and retires
+/// exactly the set a full sweep at the same event would (the quiet
+/// vertices no non-quiet sibling reaches). Retired *dead* interior
+/// vertices leave one TxnId tombstone
 /// (the paper's create precondition (a1) allows beginning children
 /// under an aborted parent forever), so memory is O(active frontier)
 /// + one word per retired aborted transaction. The one adversarial
@@ -98,9 +106,10 @@ class OnlineChecker : public TraceSink {
 
   struct Options {
     Mode mode = Mode::kSingle;
-    /// Events between GC sweeps; 1 sweeps after every event, 0 disables
-    /// subtree retirement (version windows still pop as their determined
-    /// frontiers advance). Verdicts and witnesses are invariant to this.
+    /// Events between retirement-worklist drains; 1 drains after every
+    /// event, 0 disables subtree retirement (version windows still pop as
+    /// their determined frontiers advance). Verdicts and witnesses are
+    /// invariant to this.
     std::uint64_t gc_window = 256;
   };
 
@@ -130,8 +139,11 @@ class OnlineChecker : public TraceSink {
     /// High-water mark of live_vertices + window_slots + edges +
     /// tombstones: the bench metric demonstrating O(frontier) memory.
     std::uint64_t peak_tracked = 0;
+    /// Objects whose version window holds a slot not yet popped; every
+    /// other object costs only its fold and next position.
+    std::uint64_t open_windows = 0;
     std::uint64_t retired_vertices = 0;   // records GC has dropped
-    std::uint64_t gc_sweeps = 0;
+    std::uint64_t gc_sweeps = 0;          // retirement-worklist drains
     std::uint64_t edges_inserted = 0;     // lifetime sibling-edge inserts
     /// Datasteps that joined perm while an earlier datastep on their
     /// object was still undetermined, leaving their version check to the
@@ -168,71 +180,134 @@ class OnlineChecker : public TraceSink {
     bool has_write = false;
   };
 
+  struct Vertex;
+  struct Window;
+
+  /// One member's aggregated spans on one object, in a group's per-object
+  /// list (kept sorted by member id, the order edges are decided in).
+  struct SpanEntry {
+    Vertex* child = nullptr;
+    ChildSpan span;
+  };
+
+  /// State only interior (non-access) vertices carry: the commit
+  /// precondition, the quiet bookkeeping, the ordered child list, and the
+  /// sibling group the vertex heads.
+  struct Interior {
+    std::uint32_t open_children = 0;  // commit precondition (b1)
+    std::uint32_t unsettled = 0;      // live children not yet quiet
+    Vertex* first_child = nullptr;    // live children, creation order
+    Vertex* last_child = nullptr;
+    /// Per object, the perm spans of this group's members (lookup only).
+    std::unordered_map<ObjectId, std::vector<SpanEntry>> spans;
+    /// The objects this vertex has an entry for in its parent's `spans`,
+    /// so retirement erases them by lookup.
+    std::vector<ObjectId> span_objects;
+  };
+
+  /// One tree vertex. Accesses carry only the common fields plus their
+  /// datastep; `interior` is set for transactions and the root.
   struct Vertex {
-    lock::TxnId parent = 0;
+    lock::TxnId id = 0;
+    /// The live parent record; null for the root and for vertices begun
+    /// under a tombstone. Retirement drops whole subtrees, so a live
+    /// vertex's parent pointer never dangles.
+    Vertex* parent_vertex = nullptr;
+    Vertex* prev_sibling = nullptr;
+    Vertex* next_sibling = nullptr;
     bool is_access = false;
     bool dead = false;       // self or some ancestor aborted
     bool anchored = false;   // in perm: whole ancestor chain committed
+    /// Below a tombstone: unreachable from the root, never retired.
+    bool detached = false;
+    /// Done, every descendant quiet, every access dead or popped.
+    bool quiet = false;
     std::uint8_t status = 0;  // 0 active, 1 committed, 2 aborted
-    std::uint32_t open_children = 0;  // commit precondition (b1)
-    std::vector<lock::TxnId> children;
+    /// Edges into / out of this vertex in its parent's sibling group;
+    /// `out` is sorted by target id (deterministic BFS order).
+    std::uint32_t in_degree = 0;
+    std::vector<Vertex*> out;
+    std::uint64_t bfs_mark = 0;
+    Vertex* bfs_parent = nullptr;
     // Access-only fields.
     ObjectId object = 0;
     action::Update update;
     Value label = 0;
     std::uint64_t pos = 0;  // index in the object's perform order
-    // Sibling-group state (non-access vertices, as group parent):
-    // per object, per child, the aggregated perm positions.
-    std::map<ObjectId, std::map<lock::TxnId, ChildSpan>> spans;
-    // The lifted sibling-data graph over this group's children.
-    std::map<lock::TxnId, std::set<lock::TxnId>> out_edges;
-    std::map<lock::TxnId, std::uint32_t> in_degree;
+    Window* window = nullptr;  // the object's window (map nodes are stable)
+    std::unique_ptr<Interior> interior;
   };
 
-  /// One undetermined (or not-yet-popped) datastep in a version window.
-  /// Self-contained so vertex records can be retired independently.
+  /// One not-yet-popped datastep in a version window. `access` is set
+  /// while the state is kPending or kPerm (such an access is never quiet,
+  /// so never retired); a kDead slot needs no record.
   struct Slot {
     enum : std::uint8_t { kPending, kPerm, kDead };
-    lock::TxnId id = 0;
-    action::Update update;
-    Value label = 0;
+    Vertex* access = nullptr;
     std::uint8_t state = kPending;
   };
 
   /// Per-object version window: the determined prefix is folded into
-  /// `fold` and popped; `slots` holds positions [base, base+size).
+  /// `fold` and popped; slots[head..) hold positions [base, next). An
+  /// object with nothing undetermined owns no slot storage.
   struct Window {
     std::uint64_t base = 0;
-    std::uint64_t next_pos = 0;
     Value fold = action::kInitValue;
-    std::deque<Slot> slots;
+    std::vector<Slot> slots;
+    std::uint32_t head = 0;
+    bool deferred = false;  // listed in deferred_windows_
+    std::uint64_t next_pos() const { return base + (slots.size() - head); }
   };
 
   void Latch(Outcome outcome, std::size_t index, std::string detail,
              std::vector<lock::TxnId> witness) REQUIRES(checker_mu_);
   Vertex* Find(lock::TxnId id) REQUIRES(checker_mu_);
-  void MarkDeadSubtree(lock::TxnId id, std::size_t event_index) REQUIRES(checker_mu_);
-  void AnchorSubtree(lock::TxnId id, std::size_t event_index) REQUIRES(checker_mu_);
-  void JoinPerm(lock::TxnId id, std::size_t event_index) REQUIRES(checker_mu_);
-  void AddEdge(lock::TxnId group, lock::TxnId from, lock::TxnId to,
+  bool IsTombstone(lock::TxnId id) const REQUIRES(checker_mu_);
+  /// Links a new vertex under `parent` (null: under a tombstone).
+  void Attach(Vertex& v, Vertex* parent) REQUIRES(checker_mu_);
+  /// Sets `v`'s quiet flag; a flip enlists a newly quiet vertex for
+  /// retirement and carries on to the parent's unsettled count.
+  void SetQuiet(Vertex& v, bool quiet) REQUIRES(checker_mu_);
+  /// Adds `delta` (+1 or -1) to interior `v`'s count of unsettled
+  /// children and re-evaluates its quiet flag.
+  void Settle(Vertex& v, int delta) REQUIRES(checker_mu_);
+  void MarkDeadSubtree(Vertex* v, std::size_t event_index) REQUIRES(checker_mu_);
+  void AnchorSubtree(Vertex* v, std::size_t event_index) REQUIRES(checker_mu_);
+  void JoinPerm(Vertex& v, std::size_t event_index) REQUIRES(checker_mu_);
+  void AddEdge(const Vertex& group, Vertex* from, Vertex* to,
                std::size_t event_index) REQUIRES(checker_mu_);
-  void AdvanceFrontier(ObjectId x, std::size_t event_index) REQUIRES(checker_mu_);
-  void Sweep() REQUIRES(checker_mu_);
-  void RetireChild(Vertex& group, lock::TxnId child) REQUIRES(checker_mu_);
+  void AdvanceFrontier(Window& w, ObjectId x, std::size_t event_index)
+      REQUIRES(checker_mu_);
+  void DrainRetirements() REQUIRES(checker_mu_);
+  void RetireChild(Vertex* child) REQUIRES(checker_mu_);
   void UpdatePeak() REQUIRES(checker_mu_);
 
   const Options options_;
 
+  // The hashed containers below are lookup-only: nothing iterates them,
+  // so their hash order never reaches a verdict, index or witness.
   mutable Mutex checker_mu_{"checker.online", kRankOnlineChecker};
-  std::map<lock::TxnId, Vertex> vertices_ GUARDED_BY(checker_mu_);
-  std::map<ObjectId, Window> windows_ GUARDED_BY(checker_mu_);
+  std::unordered_map<lock::TxnId, Vertex> vertices_ GUARDED_BY(checker_mu_);
+  std::unordered_map<ObjectId, Window> windows_ GUARDED_BY(checker_mu_);
+  /// Objects whose window holds a perm slot behind an undetermined one
+  /// (a deferred join): the only windows Verdict must fold, in id order.
+  std::set<ObjectId> deferred_windows_ GUARDED_BY(checker_mu_);
   /// Retired dead interior vertices: still legal parents for future
   /// kBegin/kPerform events (create under an aborted action is allowed
   /// by (a1)); their subtrees are dead, so one id is all we must keep.
-  std::set<lock::TxnId> dead_tombstones_ GUARDED_BY(checker_mu_);
+  std::unordered_set<lock::TxnId> dead_tombstones_ GUARDED_BY(checker_mu_);
+  /// Vertices that turned quiet since the last drain (ids: an entry may
+  /// be retired with an ancestor before its turn comes).
+  std::vector<lock::TxnId> retire_worklist_ GUARDED_BY(checker_mu_);
+  /// Scratch reused across events: AddEdge's BFS queue, and the stack of
+  /// the subtree walks (anchor, mark-dead, retire; these never nest).
+  std::vector<Vertex*> bfs_queue_ GUARDED_BY(checker_mu_);
+  std::vector<Vertex*> walk_ GUARDED_BY(checker_mu_);
+  std::uint64_t bfs_epoch_ GUARDED_BY(checker_mu_) = 0;
   std::optional<CheckResult> latched_ GUARDED_BY(checker_mu_);
   std::uint64_t current_edges_ GUARDED_BY(checker_mu_) = 0;
   std::uint64_t current_slots_ GUARDED_BY(checker_mu_) = 0;
+  std::uint64_t open_windows_ GUARDED_BY(checker_mu_) = 0;
   Stats stats_ GUARDED_BY(checker_mu_);
 };
 

@@ -216,7 +216,7 @@ StatusOr<Value> ShardedEngine::RecordAccessChainLocked(
     // and the record: undo the grant — the cascade's OnAbort may have
     // run before we acquired, leaving an orphan hold otherwise.
     Status s = DeadStatusLocked(*rec);
-    locks_.OnAbort(rec->id);
+    locks_.OnAbort(rec->id, rec->lock_shards.load(kRelaxed));
     return s;
   }
   accesses_.fetch_add(1, kRelaxed);
@@ -252,7 +252,10 @@ Status ShardedEngine::AcquireLockBlocking(TxnRec* r, ObjectId x,
       if (r->state != TxnState::kActive) return DeadStatusLocked(*r);
     }
     auto attempt = locks_.AcquireOrEnqueue(x, t, mode);
-    if (attempt.acquired) return Status::Ok();
+    if (attempt.acquired) {
+      r->lock_shards.fetch_or(locks_.ShardBit(x), kRelaxed);
+      return Status::Ok();
+    }
     if (!waited) {
       waited = true;
       lock_waits_.fetch_add(1, kRelaxed);
@@ -350,6 +353,11 @@ void ShardedEngine::AccessBatch(TxnId t, std::span<const BatchAccess> ops,
   // (each lock shard's mutex taken once for the whole batch)...
   std::vector<bool> granted;
   locks_.TryAcquireBatch(t, reqs, granted);
+  lock::LockManager::ShardSet granted_shards = 0;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    if (granted[i]) granted_shards |= locks_.ShardBit(reqs[i].object);
+  }
+  r->lock_shards.fetch_or(granted_shards, kRelaxed);
   // ...then fall back to the serial blocking path for each contended
   // object, in object order, under the usual deadlock/timeout policy.
   // Waiting here while holding the already-granted locks is exactly what
@@ -361,10 +369,14 @@ void ShardedEngine::AccessBatch(TxnId t, std::span<const BatchAccess> ops,
     lock_status = AcquireLockBlocking(r, reqs[i].object, reqs[i].mode);
   }
   if (!lock_status.ok()) {
-    // The transaction died acquiring the batch's locks (deadlock victim
-    // or timeout abort): no op has executed and the abort already swept
-    // every lock, so the whole batch reports the death — the same
-    // outcome as the transaction dying just before the batch started.
+    // The transaction died acquiring the batch's locks (deadlock victim,
+    // timeout abort, or already dead on entry): no op has executed, so
+    // the whole batch reports the death — the same outcome as the
+    // transaction dying just before the batch started. The fast path's
+    // grants may postdate the abort's lose-lock sweep (a batch on an
+    // already-aborted transaction is granted its uncontended objects),
+    // so sweep again; OnAbort is idempotent.
+    locks_.OnAbort(t, r->lock_shards.load(kRelaxed));
     for (std::size_t i = 0; i < ops.size(); ++i) {
       out[i] = OpOutcome{lock_status.code(), 0};
     }
@@ -468,8 +480,12 @@ Status ShardedEngine::Commit(TxnId t) {
   if (!prep.ok()) return prep;
   // Lock inheritance + targeted wakeups (release-lock). Runs after the
   // merge above: the shard mutex orders the release after the buffer
-  // write, so woken waiters see the merged values.
-  locks_.OnCommit(t, r->parent);
+  // write, so woken waiters see the merged values. The parent inherits
+  // into our shards, so they join its set first — before the recheck of
+  // its state below, which is what lets the race repair find them.
+  const lock::LockManager::ShardSet shards = r->lock_shards.load(kRelaxed);
+  if (p != nullptr) p->lock_shards.fetch_or(shards, kRelaxed);
+  locks_.OnCommit(t, r->parent, shards);
   if (p != nullptr) {
     // Inheritance race repair: between our critical section (parent
     // observed kActive) and the OnCommit above, an abort cascade may
@@ -487,7 +503,9 @@ Status ShardedEngine::Commit(TxnId t) {
       MutexLock plk(p->rec_mu);
       parent_collected = p->state == TxnState::kAborted;
     }
-    if (parent_collected) locks_.OnAbort(r->parent);
+    if (parent_collected) {
+      locks_.OnAbort(r->parent, p->lock_shards.load(kRelaxed));
+    }
   }
   committed_.fetch_add(1, kRelaxed);
   if (p == nullptr) CollectSubtree(r);
@@ -534,7 +552,10 @@ bool ShardedEngine::AbortTree(TxnRec* rec, AbortCause cause) {
                              rec->parent, 0, {}, 0});
     }
   }
-  locks_.OnAbort(rec->id);  // lose-lock, with targeted wakeups
+  // Lose-lock, with targeted wakeups. The set is read after kAborted was
+  // published under rec_mu: a grant whose bit is still missing belongs to
+  // an access that has yet to check the state, and it sweeps for itself.
+  locks_.OnAbort(rec->id, rec->lock_shards.load(kRelaxed));
   if (rec->parent_rec) {
     TxnRec* p = rec->parent_rec.get();
     MutexLock plk(p->rec_mu);

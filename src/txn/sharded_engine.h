@@ -126,6 +126,13 @@ class ShardedEngine final : public EngineCore, public lock::Ancestry {
     std::vector<TxnRec*> children GUARDED_BY(rec_mu);
     /// This transaction's private value-map versions.
     std::map<ObjectId, Value> buffer GUARDED_BY(rec_mu);
+    /// Lock-table shards where this transaction may hold or retain a lock
+    /// (own grants plus what committed children passed up), so commit and
+    /// abort visit only those. A bit is set after the grant and before
+    /// the grantor's next state check under rec_mu; an abort reads the
+    /// set after marking the record under rec_mu, so a grant it misses is
+    /// swept by the grantor itself (see RecordAccessChainLocked).
+    std::atomic<lock::LockManager::ShardSet> lock_shards{0};
   };
 
   struct TableShard {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -200,6 +201,100 @@ TEST(CheckerGcTest, AbortHeavyChainKeepsOnlyTombstones) {
   EXPECT_LT(s.window_slots, 50u);
   // Peak = frontier + tombstones (one word per aborted txn, by design).
   EXPECT_LT(s.peak_tracked, static_cast<std::uint64_t>(kTxns) + 300u);
+}
+
+TEST(CheckerGcTest, WideRootGroupRetiresInOneDrain) {
+  // 4096 top-level siblings, all begun before any finishes, then run one
+  // at a time over 4 hot objects: each commit adds an edge from the
+  // previous committer on its object, so the root group holds four
+  // in-degree chains ~1000 long. The window is the whole stream, so the
+  // only drain comes after the last commit and must retire everything
+  // through RetireChild's cascade: the root alone stays live, and each
+  // aborted transaction leaves exactly one tombstone.
+  constexpr int kTxns = 4096;
+  constexpr int kObjects = 4;
+  constexpr int kEventsPerTxn = 3;  // begin, perform, commit/abort
+  {
+    OnlineChecker::Options opt;
+    opt.mode = Mode::kRw;
+    opt.gc_window = static_cast<std::uint64_t>(kTxns) * kEventsPerTxn;
+    OnlineChecker checker(opt);
+    for (int t = 0; t < kTxns; ++t) {
+      checker.Append({TraceEvent::Kind::kBegin, 1 + static_cast<lock::TxnId>(t),
+                      0, 0, {}, 0});
+    }
+    Value value[kObjects] = {};
+    std::uint64_t aborted = 0;
+    for (int t = 0; t < kTxns; ++t) {
+      const lock::TxnId id = 1 + static_cast<lock::TxnId>(t);
+      const lock::TxnId access = 100000 + static_cast<lock::TxnId>(t);
+      const ObjectId x = static_cast<ObjectId>(t % kObjects);
+      checker.Append({TraceEvent::Kind::kPerform, access, id, x,
+                      Update::Add(1), value[x]});
+      if (t % 16 == 15) {
+        checker.Append({TraceEvent::Kind::kAbort, id, 0, 0, {}, 0});
+        ++aborted;
+      } else {
+        value[x] += 1;
+        checker.Append({TraceEvent::Kind::kCommit, id, 0, 0, {}, 0});
+      }
+    }
+    const auto v = checker.Verdict();
+    ASSERT_EQ(v.outcome, Outcome::kOk) << v.detail;
+    const auto s = checker.stats();
+    EXPECT_EQ(s.gc_sweeps, 1u);
+    EXPECT_EQ(s.live_vertices, 1u) << "only the root should survive";
+    EXPECT_EQ(s.tombstones, aborted);
+    EXPECT_EQ(s.edges, 0u);
+    EXPECT_EQ(s.window_slots, 0u);
+    EXPECT_EQ(s.retired_vertices, 2u * kTxns);
+    EXPECT_GE(s.edges_inserted, static_cast<std::uint64_t>(kTxns - aborted -
+                                                           kObjects));
+  }
+}
+
+TEST(CheckerGcTest, OpenWindowsReturnToZeroOverManyObjects) {
+  // Every object ever touched keeps a window (its fold and next
+  // position), but only objects with a slot not yet popped count as
+  // open. A 100k-transaction stream spread over 65 536 objects, two
+  // transactions in flight at a time, must end with no open window.
+  constexpr int kTxns = 100000;
+  constexpr ObjectId kObjects = 65536;
+  OnlineChecker::Options opt;
+  opt.gc_window = 64;
+  OnlineChecker checker(opt);
+  std::vector<Value> value(kObjects, 0);
+  std::uint64_t max_open = 0;
+  lock::TxnId next = 1;
+  for (int t = 0; t < kTxns; t += 2) {
+    // Two overlapping transactions on distinct objects; every tenth pair
+    // aborts its second transaction.
+    const lock::TxnId a = next++, b = next++;
+    const ObjectId xa = static_cast<ObjectId>((t * 7919u) % kObjects);
+    const ObjectId xb = static_cast<ObjectId>((t * 7919u + 1) % kObjects);
+    checker.Append({TraceEvent::Kind::kBegin, a, 0, 0, {}, 0});
+    checker.Append({TraceEvent::Kind::kBegin, b, 0, 0, {}, 0});
+    checker.Append({TraceEvent::Kind::kPerform, next++, a, xa, Update::Add(1),
+                    value[xa]});
+    checker.Append({TraceEvent::Kind::kPerform, next++, b, xb, Update::Add(1),
+                    value[xb]});
+    max_open = std::max(max_open, checker.stats().open_windows);
+    checker.Append({TraceEvent::Kind::kCommit, a, 0, 0, {}, 0});
+    value[xa] += 1;
+    if (t % 20 == 0) {
+      checker.Append({TraceEvent::Kind::kAbort, b, 0, 0, {}, 0});
+    } else {
+      checker.Append({TraceEvent::Kind::kCommit, b, 0, 0, {}, 0});
+      value[xb] += 1;
+    }
+  }
+  const auto v = checker.Verdict();
+  ASSERT_EQ(v.outcome, Outcome::kOk) << v.detail;
+  const auto s = checker.stats();
+  EXPECT_EQ(s.open_windows, 0u);
+  EXPECT_EQ(s.window_slots, 0u);
+  EXPECT_EQ(max_open, 2u);
+  EXPECT_LT(s.live_vertices, 300u);
 }
 
 TEST(CheckerGcTest, WitnessSurvivesAggressiveGc) {

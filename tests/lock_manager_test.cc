@@ -240,6 +240,35 @@ TEST_P(ShardedLockManagerTest, CommitInheritsAcrossShards) {
   EXPECT_TRUE(lm_->TryAcquire(0, 2, LockMode::kWrite));
 }
 
+TEST_P(ShardedLockManagerTest, ShardSetsVisitOnlyWhatTheyName) {
+  // The caller's shard set decides which shards commit and abort visit:
+  // the set of the grants finds every record, inheritance keeps them in
+  // the same shards (so the parent's set is the union), and a set that
+  // misses a shard leaves that shard's records alone.
+  constexpr ObjectId kObjects = 40;
+  LockManager::ShardSet child_set = 0;
+  for (ObjectId x = 0; x < kObjects; ++x) {
+    ASSERT_TRUE(lm_->TryAcquire(x, 111, LockMode::kWrite));
+    child_set |= lm_->ShardBit(x);
+  }
+  lm_->OnCommit(111, 11, child_set);
+  EXPECT_EQ(lm_->RecordCount(), kObjects) << "held became retained";
+  EXPECT_TRUE(lm_->Retains(0, 11, LockMode::kWrite));
+  ASSERT_TRUE(lm_->TryAcquire(kObjects, 11, LockMode::kRead));
+  const LockManager::ShardSet parent_set =
+      child_set | lm_->ShardBit(kObjects);
+  if (GetParam() > 1) {
+    // Abort with a set naming only object 0's shard: records elsewhere
+    // stay, and a second abort with the full set sweeps them.
+    lm_->OnAbort(11, lm_->ShardBit(0));
+    EXPECT_FALSE(lm_->Retains(0, 11, LockMode::kWrite));
+    EXPECT_GT(lm_->RecordCount(), 0u) << "unnamed shards must be skipped";
+  }
+  lm_->OnAbort(11, parent_set);
+  EXPECT_EQ(lm_->RecordCount(), 0u);
+  EXPECT_TRUE(lm_->TryAcquire(0, 2, LockMode::kWrite));
+}
+
 TEST_P(ShardedLockManagerTest, RetainedUpgradeMergesModes) {
   // A child's read and another child's write on the same object merge
   // into one retained ModeSet on the parent.

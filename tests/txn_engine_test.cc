@@ -273,6 +273,36 @@ TEST(TxnEngineTest, TimeoutPolicyAborts) {
   ASSERT_TRUE(a->Commit().ok());
 }
 
+TEST(TxnEngineTest, BatchOnAbortedChildLeavesNoLock) {
+  // A batch submitted on an already-aborted subtransaction: the one-pass
+  // fast path grants the uncontended object (2) before the blocking
+  // fallback for the contended one (1) finds the transaction dead. The
+  // late grant must be swept, or it outlives every transaction and
+  // blocks object 2 for good.
+  TransactionManager::Options opt;
+  opt.deadlock_detection = false;
+  opt.lock_wait_timeout = std::chrono::milliseconds(50);
+  TransactionManager mgr(opt);
+  auto t1 = mgr.Begin();
+  ASSERT_TRUE(t1->Put(1, 10).ok());
+  auto t2 = mgr.Begin();
+  auto c = t2->BeginChild();
+  ASSERT_TRUE(c.ok());
+  ASSERT_TRUE((*c)->Abort().ok());
+  const BatchAccess ops[] = {{2, Update::Write(20)}, {1, Update::Write(11)}};
+  OpOutcome out[2];
+  (*c)->ApplyBatch(ops, out);
+  EXPECT_EQ(out[0].code, StatusCode::kAborted);
+  EXPECT_EQ(out[1].code, StatusCode::kAborted);
+  ASSERT_TRUE(t1->Commit().ok());
+  ASSERT_TRUE(t2->Commit().ok());
+  EXPECT_EQ(mgr.stats().lock_records, 0u);
+  auto t3 = mgr.Begin();
+  EXPECT_TRUE(t3->Put(2, 30).ok());
+  ASSERT_TRUE(t3->Commit().ok());
+  EXPECT_EQ(mgr.ReadCommitted(2), 30);
+}
+
 TEST(TxnEngineTest, TraceReplayYieldsSerializableTree) {
   TransactionManager::Options opt;
   opt.record_trace = true;

@@ -5,10 +5,16 @@
 // idiomatic shape that must lint clean there: ordered containers keyed
 // by stable transaction ids, an annotated wrapper mutex serializing
 // Append against Verdict, and no wall-clock or hash-seed dependence.
+// Hashed containers are fine for lookup (find/count/operator[]/erase,
+// comparison with end()) as long as nothing walks them; anything that
+// needs an order walks an ordered index kept beside them.
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <set>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -30,10 +36,37 @@ class FixtureCheckerState {
     return edges_.empty() ? 0 : edges_.begin()->first;
   }
 
+  // Lookup-only hashing: point queries and updates by id, never a walk.
+  void Record(std::uint64_t object, std::uint64_t pos) {
+    MutexLock lk(mu_);
+    auto [it, fresh] = windows_.try_emplace(object);
+    it->second.push_back(pos);
+    if (fresh) open_.insert(object);
+    if (tombstones_.count(object) != 0) tombstones_.erase(object);
+  }
+
+  std::size_t WindowSize(std::uint64_t object) const {
+    MutexLock lk(mu_);
+    auto it = windows_.find(object);
+    return it == windows_.end() ? 0 : it->second.size();
+  }
+
+  // Ordered walks go through the ordered index of the same keys.
+  std::size_t OpenTotal() const {
+    MutexLock lk(mu_);
+    std::size_t n = 0;
+    for (std::uint64_t object : open_) n += windows_.at(object).size();
+    return n;
+  }
+
  private:
   mutable Mutex mu_;
   std::map<std::uint64_t, std::set<std::uint64_t>> edges_ GUARDED_BY(mu_);
   std::deque<std::uint64_t> frontier_ GUARDED_BY(mu_);
+  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> windows_
+      GUARDED_BY(mu_);
+  std::unordered_set<std::uint64_t> tombstones_ GUARDED_BY(mu_);
+  std::set<std::uint64_t> open_ GUARDED_BY(mu_);
 };
 
 }  // namespace rnt::txn

@@ -29,6 +29,17 @@ where the compiler cannot:
                        verdicts, witness cycles, and rejection indices
                        are compared byte for byte against the post-hoc
                        oracle, so its iteration order must be stable.
+                       The checker may declare hashed containers for
+                       lookup (find/count/erase/operator[]), policed by
+                       hashed-iteration instead.
+  hashed-iteration     in the lookup-only files (src/txn/online_checker.*),
+                       iterating a hashed container — a range-for over
+                       it, or begin()/cbegin()/std::begin on it — is
+                       banned: the walk order is hash-seed dependent and
+                       would leak into verdicts and witnesses. end() stays
+                       legal (find(...) != end()). Names are those the
+                       file declares with a std::unordered_* type or an
+                       alias of one.
   pointer-keyed        std::map/std::set keyed by a raw pointer in src/sim
                        and src/dist iterate in address order, which varies
                        run to run. Key by a stable id instead.
@@ -107,6 +118,10 @@ CONCURRENT_DIRS = ("src/lock", "src/txn", "src/sim", "src/faults",
 # oracle and the differential suite rely on.
 DETERMINISTIC_DIRS = ("src/sim", "src/dist", "src/txn/online_checker.h",
                       "src/txn/online_checker.cc", "src/frontend")
+# Deterministic-layer files allowed hashed containers for lookup only;
+# the hashed-iteration rule keeps them from ever walking one.
+LOOKUP_ONLY_HASH_FILES = ("src/txn/online_checker.h",
+                          "src/txn/online_checker.cc")
 DURABLE_DIRS = ("src/storage",)
 
 # The sanctioned wrapper over the raw primitives.
@@ -362,7 +377,8 @@ RULES: list[Rule] = [
          lambda rel: in_dirs(rel, DETERMINISTIC_DIRS),
          check_nondeterminism),
     Rule("unordered-container",
-         lambda rel: in_dirs(rel, DETERMINISTIC_DIRS),
+         lambda rel: in_dirs(rel, DETERMINISTIC_DIRS) and
+         rel not in LOOKUP_ONLY_HASH_FILES,
          check_unordered),
     Rule("pointer-keyed",
          lambda rel: in_dirs(rel, DETERMINISTIC_DIRS),
@@ -381,6 +397,49 @@ RULES: list[Rule] = [
          check_status_must_use),
 ]
 
+HASHED_TYPE_RE = re.compile(r"std::unordered_(?:map|set|multimap|multiset)\s*<")
+HASHED_ALIAS_RE = re.compile(r"\busing\s+(\w+)\s*=\s*std::unordered_")
+IDENT_RE = re.compile(r"\s*(?:const\s*)?[&*]*\s*([A-Za-z_]\w*)")
+# A range-for's range expression: everything after the lone `:` (not
+# `::`) up to the closing parenthesis.
+RANGE_FOR_RE = re.compile(r"\bfor\s*\((.*?[^:]):(?!:)(.*)\)")
+LAST_IDENT_RE = re.compile(r"([A-Za-z_]\w*)\s*$")
+
+
+def hashed_names(code: str) -> set[str]:
+    """Names a file declares with a hashed container type (or alias)."""
+    names: set[str] = set()
+    aliases = set(HASHED_ALIAS_RE.findall(code))
+    for m in HASHED_TYPE_RE.finditer(code):
+        depth, i = 1, m.end()
+        while i < len(code) and depth:
+            depth += {"<": 1, ">": -1}.get(code[i], 0)
+            i += 1
+        ident = IDENT_RE.match(code, i)
+        if ident:
+            names.add(ident.group(1))
+    for alias in aliases:
+        names.update(re.findall(rf"\b{alias}\s+([A-Za-z_]\w*)", code))
+    return names - aliases
+
+
+def hashed_iteration(code: str, names: set[str]) -> str | None:
+    for m in RANGE_FOR_RE.finditer(code):
+        last = LAST_IDENT_RE.search(m.group(2).strip())
+        if last and last.group(1) in names:
+            return (f"range-for over hashed container `{last.group(1)}` in "
+                    "a lookup-only file; its order is hash-seed dependent — "
+                    "iterate an ordered index instead")
+    for name in names:
+        if re.search(rf"\b{name}\s*(?:\.|->)\s*c?begin\s*\(", code) or \
+                re.search(rf"std::c?begin\s*\(\s*[\w.>\-]*\b{name}\s*\)",
+                          code):
+            return (f"begin() on hashed container `{name}` in a lookup-only "
+                    "file; its order is hash-seed dependent — iterate an "
+                    "ordered index instead")
+    return None
+
+
 MUTEX_DECL_RE = re.compile(r"^\s*(mutable\s+)?(rnt::)?Mutex\s+\w+")
 ANNOTATION_RE = re.compile(
     r"\b(GUARDED_BY|PT_GUARDED_BY|REQUIRES|REQUIRES_SHARED|ACQUIRE|RELEASE|"
@@ -398,7 +457,10 @@ def suppressions_for(lines: list[Line], idx: int) -> set[str]:
     return allowed
 
 
-def lint_text(text: str, relpath: str, display_path: str) -> list[Violation]:
+def lint_text(text: str, relpath: str, display_path: str,
+              companion: str = "") -> list[Violation]:
+    """Lints one file. `companion` is the source of the header a .cc
+    implements, whose hashed-container declarations the .cc inherits."""
     stripped = strip_comments_and_strings(text)
     raw_lines = text.split("\n")
     lines = [Line(i + 1, code, raw_lines[i] if i < len(raw_lines) else "")
@@ -419,6 +481,15 @@ def lint_text(text: str, relpath: str, display_path: str) -> list[Violation]:
             if rule.name in allowed:
                 continue
             out.append(Violation(display_path, ln.number, rule.name, msg))
+    # File-level rule: a hashed container the file declares is lookup-only.
+    if relpath in LOOKUP_ONLY_HASH_FILES:
+        names = hashed_names("\n".join(ln.code for ln in lines) + "\n" +
+                             "\n".join(strip_comments_and_strings(companion)))
+        for i, ln in enumerate(lines):
+            msg = hashed_iteration(ln.code, names) if names else None
+            if msg and "hashed-iteration" not in suppressions_for(lines, i):
+                out.append(Violation(display_path, ln.number,
+                                     "hashed-iteration", msg))
     # File-level rule: a declared Mutex member without a single annotation
     # means the file opted out of the analysis silently.
     if (in_dirs(relpath, CONCURRENT_DIRS)
@@ -444,7 +515,12 @@ def lint_file(path: pathlib.Path, root: pathlib.Path) -> list[Violation]:
     m = LINT_AS_RE.match(first)
     if m:
         relpath = m.group(1)
-    return lint_text(text, relpath, str(path))
+    companion = ""
+    if relpath in LOOKUP_ONLY_HASH_FILES and relpath.endswith(".cc"):
+        header = root / (relpath[:-len(".cc")] + ".h")
+        if header.is_file():
+            companion = header.read_text(encoding="utf-8", errors="replace")
+    return lint_text(text, relpath, str(path), companion)
 
 
 def iter_sources(root: pathlib.Path):
