@@ -182,7 +182,10 @@ long MaxRssKb() {
 
 /// One online point: stream ~`events` generated events straight into the
 /// checker — nothing is ever materialized, so the only state is the
-/// checker's own (the flat `peak_tracked` is the claim under test).
+/// checker's own (the flat `peak_tracked` is the claim under test). The
+/// generator thread only stamps and buffers; the checker's consumer
+/// thread applies, and the timed region ends after the final Verdict has
+/// drained the rest, so events/sec is the rate the checker applies at.
 bool OnlinePoint(std::uint64_t events, FILE* out, bool first) {
   rnt::txn::OnlineChecker::Options copt;
   copt.mode = rnt::txn::OnlineChecker::Mode::kSingle;
@@ -191,12 +194,15 @@ bool OnlinePoint(std::uint64_t events, FILE* out, bool first) {
   WorkloadGen gen(/*seed=*/7);
   const long rss0 = MaxRssKb();
   const auto t0 = std::chrono::steady_clock::now();
-  while (checker.stats().events < events) {
-    gen.NextTxn(
-        [&](const rnt::txn::TraceEvent& e) { checker.Append(e); });
+  std::uint64_t appended = 0;
+  while (appended < events) {
+    gen.NextTxn([&](const rnt::txn::TraceEvent& e) {
+      checker.Append(e);
+      ++appended;
+    });
   }
-  const double secs = Seconds(t0);
   const auto verdict = checker.Verdict();
+  const double secs = Seconds(t0);
   const auto stats = checker.stats();
   if (verdict.outcome != rnt::txn::OnlineChecker::Outcome::kOk) {
     std::fprintf(stderr, "online sweep rejected a valid workload: %s\n",
@@ -206,11 +212,14 @@ bool OnlinePoint(std::uint64_t events, FILE* out, bool first) {
   std::fprintf(
       out,
       "%s{\"events\":%llu,\"seconds\":%.4f,\"events_per_sec\":%.0f,"
-      "\"peak_tracked\":%llu,\"live_at_end\":%llu,\"retired\":%llu,"
+      "\"peak_tracked\":%llu,\"peak_frontier\":%llu,\"backlog_peak\":%llu,"
+      "\"live_at_end\":%llu,\"retired\":%llu,"
       "\"gc_sweeps\":%llu,\"max_rss_delta_kb\":%ld,\"max_rss_kb\":%ld}",
       first ? "" : ",", static_cast<unsigned long long>(stats.events), secs,
       secs == 0 ? 0.0 : static_cast<double>(stats.events) / secs,
       static_cast<unsigned long long>(stats.peak_tracked),
+      static_cast<unsigned long long>(stats.peak_frontier),
+      static_cast<unsigned long long>(stats.backlog_peak),
       static_cast<unsigned long long>(stats.live_vertices),
       static_cast<unsigned long long>(stats.retired_vertices),
       static_cast<unsigned long long>(stats.gc_sweeps), MaxRssKb() - rss0,

@@ -34,8 +34,8 @@ inline constexpr int kRankFrontendWorker = 10;
 /// Completion done-flag + result hand-off.
 inline constexpr int kRankFrontendCompletion = 12;
 /// Parallel runner live-certification section (stamp + lower + sink
-/// Append as one critical section — it feeds the online checker, so it
-/// must sit below kRankOnlineChecker).
+/// Append as one critical section — it feeds the online checker's
+/// append slots, so it must sit below kRankCheckerSlot).
 inline constexpr int kRankRunnerLive = 15;
 /// Parallel runner first-error latch.
 inline constexpr int kRankRunnerError = 17;
@@ -60,10 +60,20 @@ inline constexpr int kRankTxnWait = 37;
 inline constexpr int kRankTxnStore = 40;
 /// In-memory trace buffer.
 inline constexpr int kRankTxnTrace = 45;
-/// Online Theorem 9 checker state. A TraceSink: appended to from inside
-/// the engines' serializing critical sections, so it is a leaf below
-/// every engine rank (and below kRankRunnerLive).
+/// Online Theorem 9 checker state, held by whichever thread drains the
+/// stamped events into it (the checker's consumer thread, a Verdict or
+/// stats caller, or an appender whose slot is full). Above every engine
+/// rank and kRankRunnerLive: a full slot drains from inside an engine's
+/// serializing section.
 inline constexpr int kRankOnlineChecker = 50;
+/// Online checker append slots (stamp + buffer). A TraceSink leaf: Append
+/// takes one inside the engines' serializing sections, and the drainer
+/// takes each in turn while holding kRankOnlineChecker.
+inline constexpr int kRankCheckerSlot = 51;
+/// Online checker consumer wake-up (sleep flag, stop flag, lazy thread
+/// start). Taken by an appender after its slot mutex is released, and by
+/// the consumer thread with nothing else held.
+inline constexpr int kRankCheckerWake = 52;
 /// Multi-process transport hub: supervisor-facing status/control table
 /// of sim::SocketHub. A leaf taken by the hub I/O thread between socket
 /// operations and by the supervisor thread for snapshots; never held

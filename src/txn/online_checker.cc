@@ -1,6 +1,7 @@
 #include "txn/online_checker.h"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -31,6 +32,130 @@ OnlineChecker::OnlineChecker(Options options) : options_(options) {
   root.interior = std::make_unique<Interior>();
 }
 
+OnlineChecker::~OnlineChecker() {
+  std::thread consumer;
+  {
+    MutexLock l(checker_wake_mu_);
+    stop_ = true;
+    consumer = std::move(consumer_);
+    wake_cv_.NotifyAll();
+  }
+  if (consumer.joinable()) consumer.join();
+}
+
+std::size_t OnlineChecker::SlotForThisThread() {
+  // Round-robin thread -> slot binding, fixed at a thread's first append
+  // to any checker (only the modulus matters). The binding decides which
+  // buffer an event waits in, never its place in the apply order.
+  static std::atomic<std::size_t> next_thread{0};
+  thread_local const std::size_t assigned =
+      next_thread.fetch_add(1, std::memory_order_relaxed);
+  return assigned % kAppendSlots;
+}
+
+void OnlineChecker::Append(const TraceEvent& event) {
+  const std::size_t i = SlotForThisThread();
+  AppendSlot& slot = slots_[i];
+  std::size_t buffered = 0;
+  {
+    MutexLock l(slot.checker_slot_mu);
+    if (!slot.listed) {
+      slot.listed = true;
+      listed_slots_.fetch_or(std::uint32_t{1} << i);
+    }
+    // Stamp and push under one mutex: once a stamp is taken its event is
+    // in a slot, so a drain that follows finds every lower stamp.
+    slot.pending.push_back(Stamped{next_stamp_.fetch_add(1), event});
+    buffered = slot.pending.size();
+  }
+  if (buffered >= kSlotCap) {
+    MutexLock l(checker_mu_);
+    ApplyStamped();
+    return;
+  }
+  if (buffered >= kStartBacklog &&
+      !consumer_started_.load(std::memory_order_relaxed)) {
+    StartConsumer();
+  }
+  // Read after the stamp (both sequentially consistent): either the
+  // consumer's last look at next_stamp_ saw this event, or this load sees
+  // its sleep flag and the exchange elects one appender to wake it.
+  if (consumer_sleeping_.load() && consumer_sleeping_.exchange(false)) {
+    MutexLock l(checker_wake_mu_);
+    wake_cv_.NotifyOne();
+  }
+}
+
+void OnlineChecker::StartConsumer() {
+  if (consumer_started_.exchange(true)) return;
+  // Spawned before taking the wake mutex, which the loop takes itself.
+  std::thread consumer([this] { ConsumerLoop(); });
+  MutexLock l(checker_wake_mu_);
+  consumer_ = std::move(consumer);
+}
+
+void OnlineChecker::ConsumerLoop() {
+  for (;;) {
+    std::uint64_t applied = 0;
+    {
+      MutexLock l(checker_mu_);
+      ApplyStamped();
+      applied = next_apply_;
+    }
+    MutexLock l(checker_wake_mu_);
+    if (stop_) return;
+    consumer_sleeping_.store(true);
+    if (next_stamp_.load() != applied) {
+      // New (or still in-flight) stamps: drain again instead of sleeping.
+      consumer_sleeping_.store(false);
+      continue;
+    }
+    while (consumer_sleeping_.load() && !stop_) {
+      wake_cv_.Wait(checker_wake_mu_);
+    }
+    if (stop_) return;
+  }
+}
+
+void OnlineChecker::ApplyStamped() {
+  if (held_.empty() && next_stamp_.load() == next_apply_) return;
+  // Collect every slot behind the events held back by the last drain.
+  // Each slot's run is in stamp order; several runs need a merge.
+  std::size_t runs = held_.empty() ? 0 : 1;
+  const std::uint32_t listed = listed_slots_.load();
+  for (std::size_t i = 0; i < kAppendSlots; ++i) {
+    if ((listed & (std::uint32_t{1} << i)) == 0) continue;
+    AppendSlot& slot = slots_[i];
+    {
+      MutexLock l(slot.checker_slot_mu);
+      if (slot.pending.empty()) continue;
+      slot.pending.swap(spare_);
+    }
+    ++runs;
+    held_.insert(held_.end(), std::make_move_iterator(spare_.begin()),
+                 std::make_move_iterator(spare_.end()));
+    spare_.clear();
+  }
+  if (held_.empty()) return;
+  stats_.backlog_peak =
+      std::max(stats_.backlog_peak, next_stamp_.load() - next_apply_);
+  if (runs > 1) {
+    std::sort(held_.begin(), held_.end(),
+              [](const Stamped& a, const Stamped& b) {
+                return a.stamp < b.stamp;
+              });
+  }
+  // Apply the contiguous run. A stamp missing from it was taken after its
+  // slot was collected; it and everything behind it wait for the next
+  // drain, which is guaranteed to find it.
+  std::size_t n = 0;
+  for (; n < held_.size() && held_[n].stamp == next_apply_; ++n) {
+    ApplyLocked(held_[n].event);
+    ++next_apply_;
+  }
+  held_.erase(held_.begin(), held_.begin() + static_cast<std::ptrdiff_t>(n));
+}
+
 void OnlineChecker::Latch(Outcome outcome, std::size_t index,
                           std::string detail,
                           std::vector<lock::TxnId> witness) {
@@ -50,7 +175,16 @@ OnlineChecker::Vertex* OnlineChecker::Find(lock::TxnId id) {
 }
 
 bool OnlineChecker::IsTombstone(lock::TxnId id) const {
-  return !dead_tombstones_.empty() && dead_tombstones_.count(id) != 0;
+  return !tombstones_.empty() && tombstones_.count(id) != 0;
+}
+
+bool OnlineChecker::ResolveParent(lock::TxnId id, Vertex** parent) {
+  *parent = Find(id);
+  if (*parent != nullptr) {
+    return !(*parent)->is_access && (*parent)->status != kCommitted;
+  }
+  auto it = tombstones_.find(id);
+  return it != tombstones_.end() && it->second == kAborted;
 }
 
 void OnlineChecker::Attach(Vertex& v, Vertex* parent) {
@@ -96,8 +230,9 @@ void OnlineChecker::Settle(Vertex& v, int delta) {
 
 void OnlineChecker::AdvanceFrontier(Window& w, ObjectId x,
                                     std::size_t event_index) {
-  while (w.head < w.slots.size() && w.slots[w.head].state != Slot::kPending) {
-    const Slot s = w.slots[w.head++];
+  OpenSlots& o = *w.open;
+  while (o.head < o.slots.size() && o.slots[o.head].state != Slot::kPending) {
+    const Slot s = o.slots[o.head++];
     ++w.base;
     --current_slots_;
     if (s.state == Slot::kPerm) {
@@ -114,22 +249,16 @@ void OnlineChecker::AdvanceFrontier(Window& w, ObjectId x,
       SetQuiet(a, true);  // anchored and popped
     }
   }
-  if (w.head == w.slots.size()) {
+  if (o.head == o.slots.size()) {
     // Fully determined: give the slot storage back, keep fold + position.
-    if (!w.slots.empty()) {
-      std::vector<Slot>().swap(w.slots);
-      w.head = 0;
-      --open_windows_;
-    }
-    if (w.deferred) {
-      deferred_windows_.erase(x);
-      w.deferred = false;
-    }
-  } else if (w.head >= 32 && 2 * w.head >= w.slots.size()) {
+    if (o.deferred) deferred_windows_.erase(x);
+    w.open.reset();
+    --open_windows_;
+  } else if (o.head >= 32 && 2 * o.head >= o.slots.size()) {
     // A long-lived window (a hot object never fully determined) drops its
     // popped prefix once that is half the vector: pops stay amortized O(1).
-    w.slots.erase(w.slots.begin(), w.slots.begin() + w.head);
-    w.head = 0;
+    o.slots.erase(o.slots.begin(), o.slots.begin() + o.head);
+    o.head = 0;
   }
 }
 
@@ -189,8 +318,8 @@ void OnlineChecker::JoinPerm(Vertex& v, std::size_t event_index) {
   Window& w = *v.window;
   // Flip this datastep's slot to perm; the determined frontier may now
   // advance (and check labels) past it.
-  w.slots[w.head + static_cast<std::size_t>(v.pos - w.base)].state =
-      Slot::kPerm;
+  w.open->slots[w.open->head + static_cast<std::size_t>(v.pos - w.base)]
+      .state = Slot::kPerm;
   AdvanceFrontier(w, x, event_index);
   if (latched_.has_value()) return;
   if (v.pos >= w.base) {
@@ -198,8 +327,8 @@ void OnlineChecker::JoinPerm(Vertex& v, std::size_t event_index) {
     // earlier datastep on the object is neither dead nor in perm. Its
     // version check stays deferred until the window determines.
     ++stats_.deferred_joins;
-    if (!w.deferred) {
-      w.deferred = true;
+    if (!w.open->deferred) {
+      w.open->deferred = true;
       deferred_windows_.insert(x);
     }
   }
@@ -304,7 +433,8 @@ void OnlineChecker::MarkDeadSubtree(Vertex* top, std::size_t event_index) {
     if (!v->anchored) {
       Window& w = *v->window;
       if (v->pos >= w.base) {
-        Slot& s = w.slots[w.head + static_cast<std::size_t>(v->pos - w.base)];
+        Slot& s = w.open->slots[w.open->head +
+                                static_cast<std::size_t>(v->pos - w.base)];
         s.state = Slot::kDead;
         s.access = nullptr;
         AdvanceFrontier(w, v->object, event_index);
@@ -314,8 +444,7 @@ void OnlineChecker::MarkDeadSubtree(Vertex* top, std::size_t event_index) {
   }
 }
 
-void OnlineChecker::Append(const TraceEvent& e) {
-  MutexLock l(checker_mu_);
+void OnlineChecker::ApplyLocked(const TraceEvent& e) {
   const std::size_t idx = static_cast<std::size_t>(stats_.events++);
   if (latched_.has_value()) return;
   auto invalid = [&](const char* what) {
@@ -334,18 +463,13 @@ void OnlineChecker::Append(const TraceEvent& e) {
         invalid("create precondition (duplicate action)");
         break;
       }
-      Vertex* p = Find(e.parent);
-      if (p != nullptr) {
-        if (p->is_access) {
-          invalid("create precondition (parent is an access)");
-          break;
-        }
-        if (p->status == kCommitted) {
-          invalid("create precondition (parent committed)");
-          break;
-        }
-      } else if (!IsTombstone(e.parent)) {
-        invalid("begin under unknown parent");
+      // One detail for every illegal parent: GC may have forgotten a
+      // committed vertex or an access, so telling those apart from an
+      // unknown id would make the detail depend on gc_window.
+      Vertex* p = nullptr;
+      if (!ResolveParent(e.parent, &p)) {
+        invalid("create precondition (parent not an active or aborted "
+                "transaction)");
         break;
       }
       Vertex& v = vertices_[e.id];
@@ -416,18 +540,10 @@ void OnlineChecker::Append(const TraceEvent& e) {
         invalid("access create precondition (duplicate action)");
         break;
       }
-      Vertex* p = Find(e.parent);
-      if (p != nullptr) {
-        if (p->is_access) {
-          invalid("access create precondition (parent is an access)");
-          break;
-        }
-        if (p->status == kCommitted) {
-          invalid("access create precondition (parent committed)");
-          break;
-        }
-      } else if (!IsTombstone(e.parent)) {
-        invalid("perform under unknown transaction");
+      Vertex* p = nullptr;
+      if (!ResolveParent(e.parent, &p)) {
+        invalid("access create precondition (parent not an active or "
+                "aborted transaction)");
         break;
       }
       Vertex& v = vertices_[e.id];
@@ -443,8 +559,11 @@ void OnlineChecker::Append(const TraceEvent& e) {
       Window& w = windows_[e.object];
       v.window = &w;
       v.pos = w.next_pos();
-      if (w.slots.empty()) ++open_windows_;
-      w.slots.push_back(
+      if (w.open == nullptr) {
+        w.open = std::make_unique<OpenSlots>();
+        ++open_windows_;
+      }
+      w.open->slots.push_back(
           Slot{v.dead ? nullptr : &v, v.dead ? Slot::kDead : Slot::kPending});
       ++current_slots_;
       if (v.dead) {
@@ -527,9 +646,10 @@ void OnlineChecker::RetireChild(Vertex* child) {
       group.last_child = c->prev_sibling;
     }
     // Delete the whole subtree's records, with every edge inside it.
-    // Interior dead vertices leave a tombstone: (a1) lets future events
-    // legally begin children under an aborted action, and those
-    // children must be recognized as dead.
+    // Interior dead vertices leave a tombstone with their fate: (a1) lets
+    // future events legally begin children under an aborted action (and
+    // those children must be recognized as dead), never under a
+    // committed one.
     walk_.assign(1, c);
     while (!walk_.empty()) {
       Vertex* v = walk_.back();
@@ -539,7 +659,7 @@ void OnlineChecker::RetireChild(Vertex* child) {
              ch = ch->next_sibling) {
           walk_.push_back(ch);
         }
-        if (v->dead) dead_tombstones_.insert(v->id);
+        if (v->dead) tombstones_.emplace(v->id, v->status);
       }
       current_edges_ -= v->out.size();
       vertices_.erase(v->id);
@@ -552,15 +672,25 @@ void OnlineChecker::UpdatePeak() {
   stats_.live_vertices = vertices_.size();
   stats_.window_slots = current_slots_;
   stats_.edges = current_edges_;
-  stats_.tombstones = dead_tombstones_.size();
+  stats_.tombstones = tombstones_.size();
   stats_.open_windows = open_windows_;
-  const std::uint64_t tracked = stats_.live_vertices + stats_.window_slots +
-                                stats_.edges + stats_.tombstones;
-  stats_.peak_tracked = std::max(stats_.peak_tracked, tracked);
+  const std::uint64_t frontier =
+      stats_.live_vertices + stats_.window_slots + stats_.edges;
+  stats_.peak_frontier = std::max(stats_.peak_frontier, frontier);
+  stats_.peak_tracked =
+      std::max(stats_.peak_tracked, frontier + stats_.tombstones);
 }
 
 OnlineChecker::CheckResult OnlineChecker::Verdict() const {
-  MutexLock l(checker_mu_);
+  // Draining applies only events already appended, so the prefix judged
+  // is the one the caller appended: Verdict stays logically const.
+  auto* self = const_cast<OnlineChecker*>(this);
+  MutexLock l(self->checker_mu_);
+  self->ApplyStamped();
+  return self->VerdictLocked();
+}
+
+OnlineChecker::CheckResult OnlineChecker::VerdictLocked() const {
   if (latched_.has_value()) return *latched_;
   // The determined prefixes are all clean; fold the undetermined regions
   // transiently, skipping pending (not in perm) and dead slots — exactly
@@ -569,10 +699,11 @@ OnlineChecker::CheckResult OnlineChecker::Verdict() const {
   // that breach Lemma 10(c); a later event can still heal these.
   for (ObjectId x : deferred_windows_) {
     const Window& w = windows_.find(x)->second;
+    const OpenSlots& o = *w.open;  // deferred windows are open
     Value v = w.fold;
     std::uint64_t pos = w.base;
-    for (std::size_t i = w.head; i < w.slots.size(); ++i, ++pos) {
-      const Slot& s = w.slots[i];
+    for (std::size_t i = o.head; i < o.slots.size(); ++i, ++pos) {
+      const Slot& s = o.slots[i];
       if (s.state != Slot::kPerm) continue;
       const Vertex& a = *s.access;
       if (a.label != v) {
@@ -595,8 +726,10 @@ OnlineChecker::CheckResult OnlineChecker::Verdict() const {
 }
 
 OnlineChecker::Stats OnlineChecker::stats() const {
-  MutexLock l(checker_mu_);
-  return stats_;
+  auto* self = const_cast<OnlineChecker*>(this);
+  MutexLock l(self->checker_mu_);
+  self->ApplyStamped();
+  return self->stats_;
 }
 
 std::optional<TraceEvent> TreeEventLowering::Lower(

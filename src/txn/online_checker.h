@@ -1,13 +1,15 @@
 #ifndef RNT_TXN_ONLINE_CHECKER_H_
 #define RNT_TXN_ONLINE_CHECKER_H_
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "action/registry.h"
@@ -81,19 +83,40 @@ namespace rnt::txn {
 /// O(what it retires), never a walk of the live tree, and retires
 /// exactly the set a full sweep at the same event would (the quiet
 /// vertices no non-quiet sibling reaches). Retired *dead* interior
-/// vertices leave one TxnId tombstone
-/// (the paper's create precondition (a1) allows beginning children
-/// under an aborted parent forever), so memory is O(active frontier)
-/// + one word per retired aborted transaction. The one adversarial
-/// blind spot this buys: a forged event *reusing* the id of an
-/// already-retired committed vertex is indistinguishable from a fresh
-/// one. Engine ids are unique, so this never affects live monitoring;
-/// when auditing an untrusted finite log, run with gc_window = 0 and
-/// duplicate detection is exact (the mutation suite covers both).
+/// vertices leave a tombstone holding their id and fate (the paper's
+/// create precondition (a1) allows beginning children under an aborted
+/// parent forever, and never under a committed one), so memory is
+/// O(active frontier) + one entry per retired dead transaction. A
+/// kBegin/kPerform whose parent is not an active or aborted transaction
+/// is rejected with one detail whatever the parent is (committed, an
+/// access, retired or never seen), so outcome, index and detail do not
+/// depend on what GC has forgotten. The one adversarial blind spot this
+/// buys: a forged event *reusing* the id of an already-retired live
+/// committed vertex is indistinguishable from a fresh one. Engine ids are
+/// unique, so this never affects live monitoring; when auditing an
+/// untrusted finite log, run with gc_window = 0 and duplicate detection
+/// is exact (the mutation suite covers both).
 ///
-/// Thread safety: Append/Verdict/stats are internally locked — engines
-/// call Append from per-shard critical sections on different threads.
-/// Append never calls back into the engine and does no I/O.
+/// Version windows are 24 bytes while determined (base, fold, and a null
+/// pointer); the slot vector, its head and the deferred flag live in an
+/// `OpenSlots` block allocated only while the window holds an
+/// undetermined slot. A window's map node never moves, so each access's
+/// `window` pointer stays valid after its slot has popped.
+///
+/// Thread safety: Append is a stamped hand-off. It takes a global stamp
+/// and buffers the event in the calling thread's append slot, both under
+/// that slot's mutex, so inside an engine's serializing section the
+/// stamp order is the serialization order. The events are applied in
+/// stamp order under the checker mutex by one drainer at a time: a
+/// consumer thread (started the first time a slot's backlog reaches
+/// kStartBacklog, never in the constructor), or the caller of
+/// Verdict()/stats(), which drain on the calling thread first and so
+/// describe every event appended before the call. A slot that reaches
+/// kSlotCap events is drained by its appender, which bounds memory when
+/// the consumer falls behind. Append never calls back into the engine,
+/// does no I/O and, below the cap, waits for no checker work. The
+/// destructor stops the consumer; events still buffered then are
+/// dropped unapplied.
 class OnlineChecker : public TraceSink {
  public:
   /// Which Theorem 9 characterization to apply: kSingle totally orders
@@ -103,6 +126,17 @@ class OnlineChecker : public TraceSink {
   enum class Mode : std::uint8_t { kSingle, kRw };
 
   enum class Outcome : std::uint8_t { kOk, kInvalidTrace, kNotSerializable };
+
+  /// Append slots: engine threads bind to one round-robin at their
+  /// first append.
+  static constexpr std::size_t kAppendSlots = 8;
+  /// A slot holding this many unapplied events is drained by its
+  /// appender. The backlog (events stamped but not applied) therefore
+  /// stays near kSlotCap per busy slot however slow the consumer is.
+  static constexpr std::size_t kSlotCap = 1024;
+  /// A slot backlog that starts the consumer thread. Short traces fed
+  /// and judged on one thread never reach it, so they spawn nothing.
+  static constexpr std::size_t kStartBacklog = 256;
 
   struct Options {
     Mode mode = Mode::kSingle;
@@ -137,8 +171,14 @@ class OnlineChecker : public TraceSink {
     std::uint64_t edges = 0;              // current live sibling edges
     std::uint64_t tombstones = 0;         // retired dead interior vertices
     /// High-water mark of live_vertices + window_slots + edges +
-    /// tombstones: the bench metric demonstrating O(frontier) memory.
+    /// tombstones. Grows with the number of aborted transactions.
     std::uint64_t peak_tracked = 0;
+    /// High-water mark of live_vertices + window_slots + edges: the
+    /// frontier alone, the figure that stays flat with run length.
+    std::uint64_t peak_frontier = 0;
+    /// Most events stamped but not yet applied, sampled by the drainer
+    /// each time it collects the slots: how far the checker lagged.
+    std::uint64_t backlog_peak = 0;
     /// Objects whose version window holds a slot not yet popped; every
     /// other object costs only its fold and next position.
     std::uint64_t open_windows = 0;
@@ -155,16 +195,20 @@ class OnlineChecker : public TraceSink {
 
   OnlineChecker();
   explicit OnlineChecker(Options options);
+  ~OnlineChecker() override;
 
-  /// Consumes the next event of the trace, in serialization order.
-  /// Cheap (amortized O(depth) on engine traces) and lock-internal; a
-  /// latched violation makes all further Appends no-ops.
+  /// Takes the next event of the trace, in serialization order: stamps
+  /// and buffers it (applied later, in stamp order, by the drainer). A
+  /// latched violation makes the application of later events a no-op.
   void Append(const TraceEvent& event) override;
 
-  /// The verdict for the prefix consumed so far. Equals the post-hoc
-  /// verdict (ReplayTrace + IsPermDataSerializable{,Rw}) on that prefix.
+  /// The verdict for the prefix appended so far (drained first, on the
+  /// calling thread). Equals the post-hoc verdict (ReplayTrace +
+  /// IsPermDataSerializable{,Rw}) on that prefix.
   CheckResult Verdict() const;
 
+  /// Counters over the prefix appended so far (drained first, like
+  /// Verdict).
   Stats stats() const;
 
  private:
@@ -247,22 +291,58 @@ class OnlineChecker : public TraceSink {
     std::uint8_t state = kPending;
   };
 
-  /// Per-object version window: the determined prefix is folded into
-  /// `fold` and popped; slots[head..) hold positions [base, next). An
-  /// object with nothing undetermined owns no slot storage.
-  struct Window {
-    std::uint64_t base = 0;
-    Value fold = action::kInitValue;
+  /// A window's undetermined region: slots[head..) hold positions
+  /// [base, next) of the owning window.
+  struct OpenSlots {
     std::vector<Slot> slots;
     std::uint32_t head = 0;
     bool deferred = false;  // listed in deferred_windows_
-    std::uint64_t next_pos() const { return base + (slots.size() - head); }
   };
+
+  /// Per-object version window: the determined prefix is folded into
+  /// `fold` and popped. `open` is null while nothing is undetermined.
+  struct Window {
+    std::uint64_t base = 0;
+    Value fold = action::kInitValue;
+    std::unique_ptr<OpenSlots> open;
+    std::uint64_t next_pos() const {
+      return open == nullptr ? base : base + (open->slots.size() - open->head);
+    }
+  };
+
+  /// One appended event and its place in the serialization order.
+  struct Stamped {
+    std::uint64_t stamp = 0;
+    TraceEvent event;
+  };
+
+  /// Per-thread buffer of stamped events not yet collected by a drain.
+  /// Stamps within one slot increase (both are taken under its mutex).
+  struct AppendSlot {
+    Mutex checker_slot_mu{"checker.slot", kRankCheckerSlot};
+    std::vector<Stamped> pending GUARDED_BY(checker_slot_mu);
+    bool listed GUARDED_BY(checker_slot_mu) = false;  // in listed_slots_
+  };
+
+  std::size_t SlotForThisThread();
+  /// Collects every listed slot, merges by stamp, and applies the
+  /// contiguous run from next_apply_; stamps past a gap (an event
+  /// stamped after its slot was collected) wait for the next drain.
+  void ApplyStamped() REQUIRES(checker_mu_);
+  /// Consumes one event, in stamp order.
+  void ApplyLocked(const TraceEvent& event) REQUIRES(checker_mu_);
+  CheckResult VerdictLocked() const REQUIRES(checker_mu_);
+  void StartConsumer();
+  void ConsumerLoop();
 
   void Latch(Outcome outcome, std::size_t index, std::string detail,
              std::vector<lock::TxnId> witness) REQUIRES(checker_mu_);
   Vertex* Find(lock::TxnId id) REQUIRES(checker_mu_);
   bool IsTombstone(lock::TxnId id) const REQUIRES(checker_mu_);
+  /// The create precondition on a kBegin/kPerform parent: true when
+  /// `id` is an active or aborted transaction, live (*parent set) or
+  /// retired (*parent null).
+  bool ResolveParent(lock::TxnId id, Vertex** parent) REQUIRES(checker_mu_);
   /// Links a new vertex under `parent` (null: under a tombstone).
   void Attach(Vertex& v, Vertex* parent) REQUIRES(checker_mu_);
   /// Sets `v`'s quiet flag; a flip enlists a newly quiet vertex for
@@ -284,6 +364,22 @@ class OnlineChecker : public TraceSink {
 
   const Options options_;
 
+  // Front half: taken by appenders without the checker mutex.
+  std::array<AppendSlot, kAppendSlots> slots_;
+  /// Bit i: slot i has been appended to; drains skip the other slots.
+  /// Set under the slot mutex before the slot's first stamp, so a drain
+  /// that must find an event also sees its slot's bit.
+  std::atomic<std::uint32_t> listed_slots_{0};
+  std::atomic<std::uint64_t> next_stamp_{0};
+  std::atomic<bool> consumer_started_{false};
+  /// Set by the consumer just before it sleeps; the appender that clears
+  /// it wakes the consumer.
+  std::atomic<bool> consumer_sleeping_{false};
+  Mutex checker_wake_mu_{"checker.wake", kRankCheckerWake};
+  CondVar wake_cv_;
+  bool stop_ GUARDED_BY(checker_wake_mu_) = false;
+  std::thread consumer_ GUARDED_BY(checker_wake_mu_);
+
   // The hashed containers below are lookup-only: nothing iterates them,
   // so their hash order never reaches a verdict, index or witness.
   mutable Mutex checker_mu_{"checker.online", kRankOnlineChecker};
@@ -292,10 +388,13 @@ class OnlineChecker : public TraceSink {
   /// Objects whose window holds a perm slot behind an undetermined one
   /// (a deferred join): the only windows Verdict must fold, in id order.
   std::set<ObjectId> deferred_windows_ GUARDED_BY(checker_mu_);
-  /// Retired dead interior vertices: still legal parents for future
-  /// kBegin/kPerform events (create under an aborted action is allowed
-  /// by (a1)); their subtrees are dead, so one id is all we must keep.
-  std::unordered_set<lock::TxnId> dead_tombstones_ GUARDED_BY(checker_mu_);
+  /// Retired dead interior vertices and their status (committed or
+  /// aborted): an aborted one is still a legal parent for future
+  /// kBegin/kPerform events ((a1) allows create under an aborted action),
+  /// a committed one never is. Their subtrees are dead, so the id and
+  /// fate are all we must keep.
+  std::unordered_map<lock::TxnId, std::uint8_t> tombstones_
+      GUARDED_BY(checker_mu_);
   /// Vertices that turned quiet since the last drain (ids: an entry may
   /// be retired with an ancestor before its turn comes).
   std::vector<lock::TxnId> retire_worklist_ GUARDED_BY(checker_mu_);
@@ -305,6 +404,11 @@ class OnlineChecker : public TraceSink {
   std::vector<Vertex*> walk_ GUARDED_BY(checker_mu_);
   std::uint64_t bfs_epoch_ GUARDED_BY(checker_mu_) = 0;
   std::optional<CheckResult> latched_ GUARDED_BY(checker_mu_);
+  /// Back half: the next stamp to apply, collected events waiting behind
+  /// a gap (stamp order), and the spare buffer swapped into a slot.
+  std::uint64_t next_apply_ GUARDED_BY(checker_mu_) = 0;
+  std::vector<Stamped> held_ GUARDED_BY(checker_mu_);
+  std::vector<Stamped> spare_ GUARDED_BY(checker_mu_);
   std::uint64_t current_edges_ GUARDED_BY(checker_mu_) = 0;
   std::uint64_t current_slots_ GUARDED_BY(checker_mu_) = 0;
   std::uint64_t open_windows_ GUARDED_BY(checker_mu_) = 0;

@@ -70,8 +70,12 @@ struct Trace {
 ///
 /// Contract for implementations: Append must not call back into the
 /// engine (its mutexes are held) and must be cheap — an in-memory
-/// buffer push, not an I/O syscall (storage::Wal batches and fsyncs on
-/// a separate group-commit thread).
+/// buffer push, not an I/O syscall. Work that costs more belongs on a
+/// thread of the sink's own, behind a stamp taken inside Append so the
+/// serialization order survives the hand-off: storage::Wal stamps an LSN
+/// and batches and fsyncs on a group-commit thread; txn::OnlineChecker
+/// stamps and buffers, and applies the events in stamp order on its
+/// consumer thread (or on the thread that asks for a verdict).
 class TraceSink {
  public:
   virtual ~TraceSink() = default;

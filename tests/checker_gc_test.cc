@@ -33,8 +33,13 @@ constexpr std::uint64_t kWindows[] = {0, 1, 2, 7, 64, 256};
 
 /// Random level-1 trace with a mix of committed, aborted, orphaned and
 /// mislabeled subtrees (same shape as the differential suite's
-/// generator, kept local so this file stands alone).
-Trace RandomTrace(std::uint64_t seed, int steps, double bad_label_prob) {
+/// generator, kept local so this file stands alone). Children are begun
+/// under active and aborted transactions (an aborted one may already be
+/// retired, depending on the window); with `committed_parent_prob` per
+/// step, a forged kBegin or kPerform names a committed vertex (a
+/// transaction, possibly dead or retired, or an access) as its parent.
+Trace RandomTrace(std::uint64_t seed, int steps, double bad_label_prob,
+                  double committed_parent_prob = 0) {
   Rng rng(seed);
   ActionRegistry reg;
   ActionTree tree(&reg);
@@ -43,14 +48,29 @@ Trace RandomTrace(std::uint64_t seed, int steps, double bad_label_prob) {
     std::vector<ActionId> parents;
     std::vector<ActionId> committable;
     std::vector<ActionId> abortable;
+    std::vector<ActionId> committed;
     for (ActionId a : tree.Vertices()) {
       if (!reg.IsAccess(a) && !tree.IsCommitted(a)) {
         if (tree.IsActive(a) || rng.Chance(0.2)) parents.push_back(a);
       }
+      if (a != kRootAction && tree.IsCommitted(a)) committed.push_back(a);
       if (a != kRootAction && !reg.IsAccess(a)) {
         if (tree.CanCommit(a)) committable.push_back(a);
         if (tree.CanAbort(a)) abortable.push_back(a);
       }
+    }
+    if (!committed.empty() && rng.Chance(committed_parent_prob)) {
+      // Not applied to the tree: the checker must reject it, at the same
+      // event and with the same detail in every window.
+      const ActionId parent = committed[rng.Below(committed.size())];
+      const ActionId a = reg.NewAction(kRootAction);  // a fresh id only
+      if (rng.Chance(0.5)) {
+        out.events.push_back({TraceEvent::Kind::kBegin, a, parent, 0, {}, 0});
+      } else {
+        out.events.push_back(
+            {TraceEvent::Kind::kPerform, a, parent, 0, Update::Read(), 0});
+      }
+      continue;
     }
     const double r = rng.NextDouble();
     if (r < 0.30 && !parents.empty()) {
@@ -112,6 +132,7 @@ TEST(CheckerGcTest, VerdictInvariantAcrossWindowSizes) {
         ASSERT_EQ(v.event_index, ref.event_index)
             << "seed " << seed << " window " << w;
         ASSERT_EQ(v.transient, ref.transient) << "seed " << seed;
+        ASSERT_EQ(v.detail, ref.detail) << "seed " << seed << " window " << w;
         ASSERT_EQ(v.witness, ref.witness)
             << "seed " << seed << " window " << w << ": witness differs";
       }
@@ -120,6 +141,62 @@ TEST(CheckerGcTest, VerdictInvariantAcrossWindowSizes) {
   // Both branches must be exercised for the invariance to mean much.
   EXPECT_GT(rejected, 30);
   EXPECT_LT(rejected, 1170);
+}
+
+TEST(CheckerGcTest, IllegalParentsRejectedAlikeAcrossWindowSizes) {
+  // Begins and performs under committed vertices — live, dead, retired
+  // or accesses — next to legal ones under aborted (possibly retired)
+  // transactions: every window must reject at window 0's event with
+  // window 0's detail, and accept what window 0 accepts.
+  int illegal = 0;
+  for (std::uint64_t seed = 2000; seed < 2200; ++seed) {
+    Trace t = RandomTrace(seed, /*steps=*/80, /*bad_label_prob=*/0.05,
+                          /*committed_parent_prob=*/0.01);
+    for (Mode mode : {Mode::kSingle, Mode::kRw}) {
+      const auto ref = RunWith(t, mode, /*gc_window=*/0);
+      if (ref.outcome == Outcome::kInvalidTrace) ++illegal;
+      for (std::uint64_t w : kWindows) {
+        const auto v = RunWith(t, mode, w);
+        ASSERT_EQ(v.outcome, ref.outcome)
+            << "seed " << seed << " window " << w << ": " << v.detail
+            << " vs " << ref.detail;
+        ASSERT_EQ(v.event_index, ref.event_index)
+            << "seed " << seed << " window " << w;
+        ASSERT_EQ(v.detail, ref.detail) << "seed " << seed << " window " << w;
+        ASSERT_EQ(v.witness, ref.witness) << "seed " << seed;
+      }
+    }
+  }
+  EXPECT_GT(illegal, 40) << "too few illegal parents to mean much";
+}
+
+TEST(CheckerGcTest, BeginUnderRetiredCommittedChildOfAbortedParent) {
+  // Begin 1, Begin 2 under 1, Commit 2, Abort 1, eight top-level begins
+  // (so every window has drained), then Begin 3 under 2. Vertex 2 is
+  // committed, so (a1) forbids the begin in every window, whether 2 was
+  // retired while live (window 1), tombstoned once dead (window 4), or
+  // never retired (window 0).
+  for (TraceEvent::Kind last :
+       {TraceEvent::Kind::kBegin, TraceEvent::Kind::kPerform}) {
+    Trace t;
+    t.events.push_back({TraceEvent::Kind::kBegin, 1, 0, 0, {}, 0});
+    t.events.push_back({TraceEvent::Kind::kBegin, 2, 1, 0, {}, 0});
+    t.events.push_back({TraceEvent::Kind::kCommit, 2, 1, 0, {}, 0});
+    t.events.push_back({TraceEvent::Kind::kAbort, 1, 0, 0, {}, 0});
+    for (lock::TxnId id = 10; id < 18; ++id) {
+      t.events.push_back({TraceEvent::Kind::kBegin, id, 0, 0, {}, 0});
+    }
+    t.events.push_back({last, 3, 2, 0, Update::Read(), 0});
+    const auto ref = RunWith(t, Mode::kSingle, /*gc_window=*/0);
+    ASSERT_EQ(ref.outcome, Outcome::kInvalidTrace) << ref.detail;
+    ASSERT_EQ(ref.event_index, 12u);
+    for (std::uint64_t w : {1, 2, 4, 7, 64, 256}) {
+      const auto v = RunWith(t, Mode::kSingle, w);
+      EXPECT_EQ(v.outcome, ref.outcome) << "window " << w << ": " << v.detail;
+      EXPECT_EQ(v.event_index, ref.event_index) << "window " << w;
+      EXPECT_EQ(v.detail, ref.detail) << "window " << w;
+    }
+  }
 }
 
 TEST(CheckerGcTest, PerPrefixVerdictInvariantAtWindowOne) {
