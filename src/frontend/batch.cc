@@ -20,9 +20,37 @@ void Session::CloseAbort() {
   }
 }
 
+void Session::LockAhead(std::span<const BatchOp> ops, std::size_t begin) {
+  ahead_failure_ = StatusCode::kOk;
+  scratch_ops_.clear();
+  std::size_t depth = 1;
+  for (std::size_t i = begin + 1; i < ops.size(); ++i) {
+    const BatchOp& op = ops[i];
+    if (IsDataOp(op.kind)) {
+      scratch_ops_.push_back(txn::BatchAccess{op.object, op.update});
+    } else if (op.kind == BatchOpKind::kBegin) {
+      ++depth;
+    } else if (op.kind == BatchOpKind::kCommit ||
+               op.kind == BatchOpKind::kAbort) {
+      if (--depth == 0) {
+        const Status s = stack_.back()->LockAhead(scratch_ops_);
+        ahead_failure_ = s.code();
+        return;
+      }
+    }
+  }
+}
+
 void Session::RunDataOps(std::span<const BatchOp> run, OpResult* results,
                          bool batched) {
   txn::TxnHandle* txn = stack_.back().get();
+  if (ahead_failure_ != StatusCode::kOk) {
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      results[i] = OpResult{ahead_failure_, 0};
+    }
+    ahead_failure_ = StatusCode::kOk;
+    return;
+  }
   if (batched) {
     scratch_ops_.clear();
     for (const BatchOp& op : run) {
@@ -69,6 +97,7 @@ BatchResult Session::Run(const BatchRequest& request, OpResult* results,
         if (stack_.empty()) {
           stack_.push_back(engine_->Begin());
           results[i] = OpResult{StatusCode::kOk, 0};
+          if (batched) LockAhead(ops, i);
         } else {
           auto child = stack_.back()->BeginChild();
           if (child.ok()) {

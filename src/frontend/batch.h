@@ -133,6 +133,13 @@ class BatchBuilder {
 /// amortization (per-shard grouped lock acquisition, one ancestor-chain
 /// critical section per run) comes from.
 ///
+/// A batch that opens a top-level transaction and also closes it (its
+/// matching kCommit/kAbort at depth 0 is in the same batch) declares
+/// that transaction's data ops, children's included, through
+/// TxnHandle::LockAhead right after the begin, so an engine can take
+/// its locks ahead in object order. ExecuteSerial and transactions that
+/// straddle batches declare nothing.
+///
 /// Not thread-safe: a session belongs to one thread at a time (the
 /// async front end pins each session to one worker).
 class Session {
@@ -172,6 +179,9 @@ class Session {
   /// transaction, via one ApplyBatch (batched) or n Apply calls.
   void RunDataOps(std::span<const BatchOp> run, OpResult* results,
                   bool batched);
+  /// Called right after ops[begin] opened a top-level transaction: if
+  /// the batch also closes it, declares its data ops via LockAhead.
+  void LockAhead(std::span<const BatchOp> ops, std::size_t begin);
 
   txn::Engine* engine_;
   std::vector<std::unique_ptr<txn::TxnHandle>> stack_;
@@ -179,6 +189,9 @@ class Session {
   /// steady-state session allocates nothing per batch.
   std::vector<txn::BatchAccess> scratch_ops_;
   std::vector<txn::OpOutcome> scratch_out_;
+  /// A failed LockAhead's code (the transaction died waiting), reported
+  /// by the next data run instead of the engine's generic kAborted.
+  StatusCode ahead_failure_ = StatusCode::kOk;
 };
 
 }  // namespace rnt::frontend

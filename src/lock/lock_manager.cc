@@ -102,6 +102,24 @@ std::size_t LockManager::TryAcquireBatch(
   return acquired;
 }
 
+void LockManager::GiveBack(TxnId t, std::span<const ObjectId> objects) {
+  for (ObjectId x : objects) {
+    Shard& shard = ShardFor(x);
+    MutexLock lk(shard.lock_mu);
+    auto ot = shard.objects.find(x);
+    if (ot == shard.objects.end()) continue;
+    ot->second.holders.erase(t);
+    const bool retained = ot->second.retainers.count(t) != 0;
+    if (ot->second.Empty()) shard.objects.erase(ot);
+    if (auto tt = shard.touched.find(t);
+        !retained && tt != shard.touched.end()) {
+      tt->second.erase(x);
+      if (tt->second.empty()) shard.touched.erase(tt);
+    }
+    NotifyObject(shard, x);
+  }
+}
+
 std::vector<TxnId> LockManager::Blockers(ObjectId x, TxnId t,
                                          LockMode mode) const {
   std::vector<TxnId> out;

@@ -117,6 +117,13 @@ class LockManager {
   std::size_t TryAcquireBatch(TxnId t, std::span<const BatchLockRequest> reqs,
                               std::vector<bool>& granted);
 
+  /// Gives back `t`'s holds on `objects` and wakes their waiters. Only
+  /// for locks that no access has used yet (a lock taken ahead and
+  /// returned after a refusal elsewhere): no other transaction can have
+  /// observed that they were held, so dropping them is not a release in
+  /// the paper's sense.
+  void GiveBack(TxnId t, std::span<const ObjectId> objects);
+
   /// The transactions whose holds/retentions block `t` from acquiring
   /// `mode` on `x` (empty iff TryAcquire would succeed). Used to build
   /// the wait-for graph.

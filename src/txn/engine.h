@@ -97,6 +97,19 @@ class TxnHandle {
       }
     }
   }
+
+  /// Declares every access this top-level transaction and its
+  /// descendants are about to make (`ops`, in any order, repeats
+  /// allowed), before its first access. An engine may use it to take
+  /// the locks ahead in one global object order, which rules out wait
+  /// cycles among transactions that declare; the accesses themselves
+  /// are still issued afterwards, and an access outside the declaration
+  /// stays legal. A non-ok result means the transaction died while
+  /// waiting (kAborted, kTimeout), as an access would have reported.
+  /// The base implementation declares nothing.
+  virtual Status LockAhead(std::span<const BatchAccess> /*ops*/) {
+    return Status::Ok();
+  }
 };
 
 /// Abstract engine: mints top-level transactions and exposes the

@@ -46,6 +46,12 @@ class EngineCore {
                       : OpOutcome{r.status().code(), 0};
     }
   }
+  /// See TxnHandle::LockAhead. The default declares nothing;
+  /// ShardedEngine takes the locks ahead in object order.
+  virtual Status LockAhead(lock::TxnId /*t*/,
+                           std::span<const BatchAccess> /*ops*/) {
+    return Status::Ok();
+  }
   virtual Status Commit(lock::TxnId t) = 0;
   virtual Status Abort(lock::TxnId t) = 0;
 

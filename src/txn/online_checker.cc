@@ -175,7 +175,7 @@ OnlineChecker::Vertex* OnlineChecker::Find(lock::TxnId id) {
 }
 
 bool OnlineChecker::IsTombstone(lock::TxnId id) const {
-  return !tombstones_.empty() && tombstones_.count(id) != 0;
+  return tombstones_.Find(id) != nullptr;
 }
 
 bool OnlineChecker::ResolveParent(lock::TxnId id, Vertex** parent) {
@@ -183,8 +183,8 @@ bool OnlineChecker::ResolveParent(lock::TxnId id, Vertex** parent) {
   if (*parent != nullptr) {
     return !(*parent)->is_access && (*parent)->status != kCommitted;
   }
-  auto it = tombstones_.find(id);
-  return it != tombstones_.end() && it->second == kAborted;
+  const std::uint8_t* status = tombstones_.Find(id);
+  return status != nullptr && *status == kAborted;
 }
 
 void OnlineChecker::Attach(Vertex& v, Vertex* parent) {
@@ -228,9 +228,8 @@ void OnlineChecker::Settle(Vertex& v, int delta) {
   SetQuiet(v, TxnQuiet(v.id, v.status, in.unsettled));
 }
 
-void OnlineChecker::AdvanceFrontier(Window& w, ObjectId x,
+void OnlineChecker::AdvanceFrontier(Window& w, OpenSlots& o, ObjectId x,
                                     std::size_t event_index) {
-  OpenSlots& o = *w.open;
   while (o.head < o.slots.size() && o.slots[o.head].state != Slot::kPending) {
     const Slot s = o.slots[o.head++];
     ++w.base;
@@ -252,8 +251,7 @@ void OnlineChecker::AdvanceFrontier(Window& w, ObjectId x,
   if (o.head == o.slots.size()) {
     // Fully determined: give the slot storage back, keep fold + position.
     if (o.deferred) deferred_windows_.erase(x);
-    w.open.reset();
-    --open_windows_;
+    open_slots_.erase(x);
   } else if (o.head >= 32 && 2 * o.head >= o.slots.size()) {
     // A long-lived window (a hot object never fully determined) drops its
     // popped prefix once that is half the vector: pops stay amortized O(1).
@@ -315,20 +313,22 @@ void OnlineChecker::AddEdge(const Vertex& group, Vertex* from, Vertex* to,
 
 void OnlineChecker::JoinPerm(Vertex& v, std::size_t event_index) {
   const ObjectId x = v.object;
-  Window& w = *v.window;
+  Window& w = WindowOf(x);
   // Flip this datastep's slot to perm; the determined frontier may now
   // advance (and check labels) past it.
-  w.open->slots[w.open->head + static_cast<std::size_t>(v.pos - w.base)]
-      .state = Slot::kPerm;
-  AdvanceFrontier(w, x, event_index);
+  OpenSlots& o = open_slots_.find(x)->second;
+  o.slots[o.head + static_cast<std::size_t>(v.pos - w.base)].state =
+      Slot::kPerm;
+  AdvanceFrontier(w, o, x, event_index);
   if (latched_.has_value()) return;
   if (v.pos >= w.base) {
-    // Still behind a pending datastep: a Lemma 10(c) breach — some
-    // earlier datastep on the object is neither dead nor in perm. Its
-    // version check stays deferred until the window determines.
+    // Still behind a pending datastep (so `o` is still open): a Lemma
+    // 10(c) breach — some earlier datastep on the object is neither dead
+    // nor in perm. Its version check stays deferred until the window
+    // determines.
     ++stats_.deferred_joins;
-    if (!w.open->deferred) {
-      w.open->deferred = true;
+    if (!o.deferred) {
+      o.deferred = true;
       deferred_windows_.insert(x);
     }
   }
@@ -431,13 +431,13 @@ void OnlineChecker::MarkDeadSubtree(Vertex* top, std::size_t event_index) {
       continue;
     }
     if (!v->anchored) {
-      Window& w = *v->window;
+      Window& w = WindowOf(v->object);
       if (v->pos >= w.base) {
-        Slot& s = w.open->slots[w.open->head +
-                                static_cast<std::size_t>(v->pos - w.base)];
+        OpenSlots& o = open_slots_.find(v->object)->second;
+        Slot& s = o.slots[o.head + static_cast<std::size_t>(v->pos - w.base)];
         s.state = Slot::kDead;
         s.access = nullptr;
-        AdvanceFrontier(w, v->object, event_index);
+        AdvanceFrontier(w, o, v->object, event_index);
       }
     }
     SetQuiet(*v, true);
@@ -556,14 +556,12 @@ void OnlineChecker::ApplyLocked(const TraceEvent& e) {
       // The perform commits the access and appends it to data_T (d23):
       // one new window slot at the end of the object's order.
       v.status = kCommitted;
+      // The only insert into windows_: `w` stays valid below, where
+      // nothing inserts.
       Window& w = windows_[e.object];
-      v.window = &w;
-      v.pos = w.next_pos();
-      if (w.open == nullptr) {
-        w.open = std::make_unique<OpenSlots>();
-        ++open_windows_;
-      }
-      w.open->slots.push_back(
+      OpenSlots& o = open_slots_[e.object];
+      v.pos = w.base + (o.slots.size() - o.head);
+      o.slots.push_back(
           Slot{v.dead ? nullptr : &v, v.dead ? Slot::kDead : Slot::kPending});
       ++current_slots_;
       if (v.dead) {
@@ -572,7 +570,7 @@ void OnlineChecker::ApplyLocked(const TraceEvent& e) {
         if (options_.gc_window != 0 && !v.detached) {
           retire_worklist_.push_back(v.id);
         }
-        AdvanceFrontier(w, e.object, idx);
+        AdvanceFrontier(w, o, e.object, idx);
       } else {
         Settle(*p, 1);
         // Only the root is both active and anchored: an access performed
@@ -659,7 +657,7 @@ void OnlineChecker::RetireChild(Vertex* child) {
              ch = ch->next_sibling) {
           walk_.push_back(ch);
         }
-        if (v->dead) tombstones_.emplace(v->id, v->status);
+        if (v->dead) tombstones_[v->id] = v->status;
       }
       current_edges_ -= v->out.size();
       vertices_.erase(v->id);
@@ -673,7 +671,7 @@ void OnlineChecker::UpdatePeak() {
   stats_.window_slots = current_slots_;
   stats_.edges = current_edges_;
   stats_.tombstones = tombstones_.size();
-  stats_.open_windows = open_windows_;
+  stats_.open_windows = open_slots_.size();
   const std::uint64_t frontier =
       stats_.live_vertices + stats_.window_slots + stats_.edges;
   stats_.peak_frontier = std::max(stats_.peak_frontier, frontier);
@@ -698,8 +696,8 @@ OnlineChecker::CheckResult OnlineChecker::VerdictLocked() const {
   // holding a deferred join can fail here, which happens only on traces
   // that breach Lemma 10(c); a later event can still heal these.
   for (ObjectId x : deferred_windows_) {
-    const Window& w = windows_.find(x)->second;
-    const OpenSlots& o = *w.open;  // deferred windows are open
+    const Window& w = *windows_.Find(x);
+    const OpenSlots& o = open_slots_.find(x)->second;  // deferred => open
     Value v = w.fold;
     std::uint64_t pos = w.base;
     for (std::size_t i = o.head; i < o.slots.size(); ++i, ++pos) {
@@ -729,7 +727,10 @@ OnlineChecker::Stats OnlineChecker::stats() const {
   auto* self = const_cast<OnlineChecker*>(this);
   MutexLock l(self->checker_mu_);
   self->ApplyStamped();
-  return self->stats_;
+  Stats s = self->stats_;
+  s.objects = self->windows_.size();
+  s.window_bytes = self->windows_.MemoryBytes();
+  return s;
 }
 
 std::optional<TraceEvent> TreeEventLowering::Lower(

@@ -15,6 +15,7 @@
 #include "action/registry.h"
 #include "action/update.h"
 #include "algebra/events.h"
+#include "common/flat_map.h"
 #include "common/lock_ranks.h"
 #include "common/mutex.h"
 #include "txn/trace.h"
@@ -97,11 +98,11 @@ namespace rnt::txn {
 /// untrusted finite log, run with gc_window = 0 and duplicate detection
 /// is exact (the mutation suite covers both).
 ///
-/// Version windows are 24 bytes while determined (base, fold, and a null
-/// pointer); the slot vector, its head and the deferred flag live in an
-/// `OpenSlots` block allocated only while the window holds an
-/// undetermined slot. A window's map node never moves, so each access's
-/// `window` pointer stays valid after its slot has popped.
+/// A determined version window is 16 bytes (base, fold) in an
+/// open-addressing table (`windows_`, 20 bytes a slot with its key); the
+/// slot vector, its head and the deferred flag live in `open_slots_`
+/// only while the window holds an undetermined slot. Table entries move
+/// when the table grows, so an access finds its window by its object id.
 ///
 /// Thread safety: Append is a stamped hand-off. It takes a global stamp
 /// and buffers the event in the calling thread's append slot, both under
@@ -182,6 +183,10 @@ class OnlineChecker : public TraceSink {
     /// Objects whose version window holds a slot not yet popped; every
     /// other object costs only its fold and next position.
     std::uint64_t open_windows = 0;
+    /// Objects with a version window (every object ever performed on),
+    /// and the bytes of the table holding their folds and positions.
+    std::uint64_t objects = 0;
+    std::uint64_t window_bytes = 0;
     std::uint64_t retired_vertices = 0;   // records GC has dropped
     std::uint64_t gc_sweeps = 0;          // retirement-worklist drains
     std::uint64_t edges_inserted = 0;     // lifetime sibling-edge inserts
@@ -225,7 +230,6 @@ class OnlineChecker : public TraceSink {
   };
 
   struct Vertex;
-  struct Window;
 
   /// One member's aggregated spans on one object, in a group's per-object
   /// list (kept sorted by member id, the order edges are decided in).
@@ -278,7 +282,6 @@ class OnlineChecker : public TraceSink {
     action::Update update;
     Value label = 0;
     std::uint64_t pos = 0;  // index in the object's perform order
-    Window* window = nullptr;  // the object's window (map nodes are stable)
     std::unique_ptr<Interior> interior;
   };
 
@@ -300,14 +303,11 @@ class OnlineChecker : public TraceSink {
   };
 
   /// Per-object version window: the determined prefix is folded into
-  /// `fold` and popped. `open` is null while nothing is undetermined.
+  /// `fold` and popped; `base` is the first position not popped. The
+  /// undetermined region, if any, is the object's `open_slots_` entry.
   struct Window {
     std::uint64_t base = 0;
     Value fold = action::kInitValue;
-    std::unique_ptr<OpenSlots> open;
-    std::uint64_t next_pos() const {
-      return open == nullptr ? base : base + (open->slots.size() - open->head);
-    }
   };
 
   /// One appended event and its place in the serialization order.
@@ -356,8 +356,14 @@ class OnlineChecker : public TraceSink {
   void JoinPerm(Vertex& v, std::size_t event_index) REQUIRES(checker_mu_);
   void AddEdge(const Vertex& group, Vertex* from, Vertex* to,
                std::size_t event_index) REQUIRES(checker_mu_);
-  void AdvanceFrontier(Window& w, ObjectId x, std::size_t event_index)
-      REQUIRES(checker_mu_);
+  /// The window of an object some access has been performed on.
+  Window& WindowOf(ObjectId x) REQUIRES(checker_mu_) {
+    return *windows_.Find(x);
+  }
+  /// Pops the determined prefix of x's open region `o` into `w`; drops
+  /// the region once it is empty (`o` dangles after that).
+  void AdvanceFrontier(Window& w, OpenSlots& o, ObjectId x,
+                       std::size_t event_index) REQUIRES(checker_mu_);
   void DrainRetirements() REQUIRES(checker_mu_);
   void RetireChild(Vertex* child) REQUIRES(checker_mu_);
   void UpdatePeak() REQUIRES(checker_mu_);
@@ -384,7 +390,11 @@ class OnlineChecker : public TraceSink {
   // so their hash order never reaches a verdict, index or witness.
   mutable Mutex checker_mu_{"checker.online", kRankOnlineChecker};
   std::unordered_map<lock::TxnId, Vertex> vertices_ GUARDED_BY(checker_mu_);
-  std::unordered_map<ObjectId, Window> windows_ GUARDED_BY(checker_mu_);
+  /// One entry per object ever performed on; never erased. Segmented so
+  /// that a growth copies a sixteenth of the table at a time.
+  FlatMap<ObjectId, Window> windows_ GUARDED_BY(checker_mu_){16};
+  /// The undetermined regions, one per open window (node-stable).
+  std::unordered_map<ObjectId, OpenSlots> open_slots_ GUARDED_BY(checker_mu_);
   /// Objects whose window holds a perm slot behind an undetermined one
   /// (a deferred join): the only windows Verdict must fold, in id order.
   std::set<ObjectId> deferred_windows_ GUARDED_BY(checker_mu_);
@@ -393,8 +403,7 @@ class OnlineChecker : public TraceSink {
   /// kBegin/kPerform events ((a1) allows create under an aborted action),
   /// a committed one never is. Their subtrees are dead, so the id and
   /// fate are all we must keep.
-  std::unordered_map<lock::TxnId, std::uint8_t> tombstones_
-      GUARDED_BY(checker_mu_);
+  FlatMap<lock::TxnId, std::uint8_t> tombstones_ GUARDED_BY(checker_mu_);
   /// Vertices that turned quiet since the last drain (ids: an entry may
   /// be retired with an ancestor before its turn comes).
   std::vector<lock::TxnId> retire_worklist_ GUARDED_BY(checker_mu_);
@@ -411,7 +420,6 @@ class OnlineChecker : public TraceSink {
   std::vector<Stamped> spare_ GUARDED_BY(checker_mu_);
   std::uint64_t current_edges_ GUARDED_BY(checker_mu_) = 0;
   std::uint64_t current_slots_ GUARDED_BY(checker_mu_) = 0;
-  std::uint64_t open_windows_ GUARDED_BY(checker_mu_) = 0;
   Stats stats_ GUARDED_BY(checker_mu_);
 };
 

@@ -13,6 +13,37 @@ constexpr auto kRelaxed = std::memory_order_relaxed;
 /// Wait slice when deadlock detection is off: just a wakeup-miss
 /// backstop (pokes and targeted notifies do the real waking).
 constexpr std::chrono::milliseconds kIdleSlice{100};
+
+using LockRequest = lock::LockManager::BatchLockRequest;
+
+/// One request per distinct object of `ops`, at the strongest requested
+/// mode (a write lock covers every read of the same object; taking it up
+/// front is at most more conservative than the serial read-then-upgrade,
+/// never weaker), sorted by object. Sort write-before-read per object and
+/// keep each object's first entry — O(n log n) on one contiguous vector,
+/// no per-op node allocation.
+std::vector<LockRequest> LockRequests(std::span<const BatchAccess> ops) {
+  std::vector<LockRequest> reqs;
+  reqs.reserve(ops.size());
+  for (const BatchAccess& op : ops) {
+    reqs.push_back(LockRequest{op.object, op.update.IsRead()
+                                              ? lock::LockMode::kRead
+                                              : lock::LockMode::kWrite});
+  }
+  std::sort(reqs.begin(), reqs.end(),
+            [](const LockRequest& a, const LockRequest& b) {
+              if (a.object != b.object) return a.object < b.object;
+              // kWrite sorts first so unique() keeps the strongest mode.
+              return a.mode == lock::LockMode::kWrite &&
+                     b.mode == lock::LockMode::kRead;
+            });
+  reqs.erase(std::unique(reqs.begin(), reqs.end(),
+                         [](const LockRequest& a, const LockRequest& b) {
+                           return a.object == b.object;
+                         }),
+             reqs.end());
+  return reqs;
+}
 }  // namespace
 
 ShardedEngine::ShardedEngine(TransactionManager::Options options)
@@ -95,8 +126,8 @@ std::map<TxnId, ShardedEngine::WaitEdge> ShardedEngine::WaitSnapshot()
 Value ShardedEngine::StoreRead(ObjectId x) const {
   const StoreShard& shard = store_[ObjShard(x)];
   MutexLock lk(shard.store_mu);
-  auto it = shard.values.find(x);
-  return it == shard.values.end() ? action::kInitValue : it->second;
+  const Value* v = shard.values.Find(x);
+  return v == nullptr ? action::kInitValue : *v;
 }
 
 void ShardedEngine::AppendTrace(TraceEvent event) {
@@ -121,7 +152,7 @@ std::map<ObjectId, Value> ShardedEngine::DumpCommitted() const {
   std::map<ObjectId, Value> out;
   for (const StoreShard& shard : store_) {
     MutexLock lk(shard.store_mu);
-    for (const auto& [x, v] : shard.values) out.emplace(x, v);
+    shard.values.ForEach([&](ObjectId x, Value v) { out.emplace(x, v); });
   }
   return out;
 }
@@ -146,6 +177,11 @@ TransactionManager::Stats ShardedEngine::stats() const {
   s.lock_waits = lock_waits_.load(kRelaxed);
   s.accesses = accesses_.load(kRelaxed);
   s.lock_records = locks_.RecordCount();
+  for (const StoreShard& shard : store_) {
+    MutexLock lk(shard.store_mu);
+    s.store_objects += shard.values.size();
+    s.store_bytes += shard.values.MemoryBytes();
+  }
   return s;
 }
 
@@ -208,7 +244,7 @@ void ShardedEngine::UnlockChain(const std::vector<TxnRec*>& chain) {
 
 // rnt-order: holds(txn.rec)
 StatusOr<Value> ShardedEngine::RecordAccessChainLocked(
-    const std::vector<TxnRec*>& chain, ObjectId x,
+    std::span<TxnRec* const> chain, ObjectId x,
     const action::Update& update) {
   TxnRec* rec = chain.front();  // chain is self..root
   if (rec->state != TxnState::kActive) {
@@ -309,6 +345,41 @@ StatusOr<Value> ShardedEngine::Access(TxnId t, ObjectId x,
   return result;
 }
 
+// rnt-order: holds(txn.rec)
+void ShardedEngine::RecordBatchChainLocked(std::span<TxnRec* const> chain,
+                                           std::span<const BatchAccess> ops,
+                                           OpOutcome* out) {
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    StatusOr<Value> res =
+        RecordAccessChainLocked(chain, ops[i].object, ops[i].update);
+    if (res.ok()) {
+      out[i] = OpOutcome{StatusCode::kOk, *res};
+      continue;
+    }
+    // Dead at entry (aborted between the grant and the chain lock):
+    // RecordAccessChainLocked swept the locks; report the death for
+    // every remaining op.
+    const StatusCode code = res.status().code();
+    for (std::size_t j = i; j < ops.size(); ++j) out[j] = OpOutcome{code, 0};
+    return;
+  }
+}
+
+bool ShardedEngine::CoveredLocked(const TxnRec& rec,
+                                  std::span<const BatchAccess> ops) {
+  if (rec.ahead.empty() || rec.open_children != 0) return false;
+  for (const BatchAccess& op : ops) {
+    auto it = std::lower_bound(
+        rec.ahead.begin(), rec.ahead.end(), op.object,
+        [](const LockRequest& r, ObjectId x) { return r.object < x; });
+    if (it == rec.ahead.end() || it->object != op.object) return false;
+    if (it->mode == lock::LockMode::kRead && !op.update.IsRead()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void ShardedEngine::AccessBatch(TxnId t, std::span<const BatchAccess> ops,
                                 OpOutcome* out) {
   if (ops.empty()) return;
@@ -320,35 +391,17 @@ void ShardedEngine::AccessBatch(TxnId t, std::span<const BatchAccess> ops,
     return;
   }
   TxnRec* r = rec.get();
-  // Dedupe the batch's objects to the strongest requested mode (a write
-  // lock covers every read of the same object; acquiring it up front is
-  // at most more conservative than the serial read-then-upgrade, never
-  // weaker), so each distinct object is acquired exactly once. Sort
-  // write-before-read per object and keep each object's first entry —
-  // O(n log n) on one contiguous vector, no per-op node allocation (a
-  // std::map here costs one heap allocation per op, which is the same
-  // order as the per-op work batching is trying to amortize away).
-  std::vector<lock::LockManager::BatchLockRequest> reqs;
-  reqs.reserve(ops.size());
-  for (const BatchAccess& op : ops) {
-    reqs.push_back(lock::LockManager::BatchLockRequest{
-        op.object, op.update.IsRead() ? lock::LockMode::kRead
-                                      : lock::LockMode::kWrite});
+  if (r->parent_rec == nullptr) {
+    // A top-level chain is the record alone: holding its mutex is the
+    // chain lock, and it also fixes open_children for the check.
+    TxnRec* const self[] = {r};
+    MutexLock lk(r->rec_mu);
+    if (CoveredLocked(*r, ops)) {
+      RecordBatchChainLocked(self, ops, out);
+      return;
+    }
   }
-  std::sort(reqs.begin(), reqs.end(),
-            [](const lock::LockManager::BatchLockRequest& a,
-               const lock::LockManager::BatchLockRequest& b) {
-              if (a.object != b.object) return a.object < b.object;
-              // kWrite sorts first so unique() keeps the strongest mode.
-              return a.mode == lock::LockMode::kWrite &&
-                     b.mode == lock::LockMode::kRead;
-            });
-  reqs.erase(std::unique(reqs.begin(), reqs.end(),
-                         [](const lock::LockManager::BatchLockRequest& a,
-                            const lock::LockManager::BatchLockRequest& b) {
-                           return a.object == b.object;
-                         }),
-             reqs.end());
+  const std::vector<LockRequest> reqs = LockRequests(ops);
   // Fast path: grant everything uncontended with one lock-table pass
   // (each lock shard's mutex taken once for the whole batch)...
   std::vector<bool> granted;
@@ -390,23 +443,58 @@ void ShardedEngine::AccessBatch(TxnId t, std::span<const BatchAccess> ops,
     chain.push_back(c);
   }
   LockChain(chain);
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    StatusOr<Value> res =
-        RecordAccessChainLocked(chain, ops[i].object, ops[i].update);
-    if (res.ok()) {
-      out[i] = OpOutcome{StatusCode::kOk, *res};
-    } else {
-      // Dead at entry (aborted between the grant and the chain lock):
-      // RecordAccessChainLocked swept the locks; report the death for
-      // every remaining op.
-      const StatusCode code = res.status().code();
-      for (std::size_t j = i; j < ops.size(); ++j) {
-        out[j] = OpOutcome{code, 0};
-      }
-      break;
+  RecordBatchChainLocked(chain, ops, out);
+  UnlockChain(chain);
+}
+
+Status ShardedEngine::LockAhead(TxnId t, std::span<const BatchAccess> ops) {
+  auto rec = FindRec(t);
+  if (!rec) return Status::Aborted("transaction is not active");
+  TxnRec* r = rec.get();
+  if (r->parent_rec != nullptr || ops.empty()) return Status::Ok();
+  {
+    MutexLock lk(r->rec_mu);
+    if (r->state != TxnState::kActive) return DeadStatusLocked(*r);
+    // Only before the first lock: a lock some access already used must
+    // never be given back below.
+    if (!r->ahead.empty() || r->lock_shards.load(kRelaxed) != 0) {
+      return Status::Ok();
     }
   }
-  UnlockChain(chain);
+  std::vector<LockRequest> reqs = LockRequests(ops);
+  std::vector<bool> granted;
+  locks_.TryAcquireBatch(t, reqs, granted);
+  const std::size_t refused = static_cast<std::size_t>(
+      std::find(granted.begin(), granted.end(), false) - granted.begin());
+  lock::LockManager::ShardSet kept_shards = 0;
+  for (std::size_t i = 0; i < refused; ++i) {
+    kept_shards |= locks_.ShardBit(reqs[i].object);
+  }
+  r->lock_shards.fetch_or(kept_shards, kRelaxed);
+  Status s = Status::Ok();
+  if (refused < reqs.size()) {
+    // Keep the grants below the lowest refused object and give back the
+    // ones above it, so no wait below happens while holding an object
+    // above the one waited for. Then take the rest in ascending order.
+    std::vector<ObjectId> above;
+    for (std::size_t i = refused + 1; i < reqs.size(); ++i) {
+      if (granted[i]) above.push_back(reqs[i].object);
+    }
+    locks_.GiveBack(t, above);
+    for (std::size_t i = refused; i < reqs.size() && s.ok(); ++i) {
+      s = AcquireLockBlocking(r, reqs[i].object, reqs[i].mode);
+    }
+  }
+  {
+    MutexLock lk(r->rec_mu);
+    if (s.ok() && r->state != TxnState::kActive) s = DeadStatusLocked(*r);
+    if (s.ok()) r->ahead = std::move(reqs);
+  }
+  // Dead: a grant may postdate the abort's lose-lock sweep (the abort
+  // reads lock_shards after marking the record, as in AccessBatch), so
+  // sweep again; OnAbort is idempotent.
+  if (!s.ok()) locks_.OnAbort(t, r->lock_shards.load(kRelaxed));
+  return s;
 }
 
 Status ShardedEngine::CommitCheckLocked(const TxnRec& rec) {

@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/lock_ranks.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -70,8 +71,24 @@ class ShardedEngine final : public EngineCore, public lock::Ancestry {
   /// dies during lock acquisition (deadlock victim / timeout), no op has
   /// executed and every op reports the death — equivalent to the
   /// transaction dying just before the batch, a legal serial outcome.
+  ///
+  /// A top-level transaction whose locks were all taken ahead (see
+  /// LockAhead) and that has no open child skips the lock table: its
+  /// locks already cover the batch, and with no child running nothing
+  /// else in its tree can take a conflicting lock.
   void AccessBatch(lock::TxnId t, std::span<const BatchAccess> ops,
                    OpOutcome* out) override;
+  /// Lock-ahead for a top-level transaction before its first lock:
+  /// every distinct declared object at its strongest declared mode. One
+  /// TryAcquireBatch pass; if an object is refused, the grants above the
+  /// lowest refused object are given back (no access has used them) and
+  /// the rest is taken by blocking acquisitions in ascending object
+  /// order, under the usual detection/timeout policy. A transaction that
+  /// locks ahead therefore only ever waits for an object above every
+  /// object it holds, so no wait cycle runs through two of them.
+  /// A no-op for subtransactions and for a transaction that already
+  /// holds, retains or declared a lock.
+  Status LockAhead(lock::TxnId t, std::span<const BatchAccess> ops) override;
   Status Commit(lock::TxnId t) override;
   Status Abort(lock::TxnId t) override;
 
@@ -133,6 +150,10 @@ class ShardedEngine final : public EngineCore, public lock::Ancestry {
     /// set after marking the record under rec_mu, so a grant it misses is
     /// swept by the grantor itself (see RecordAccessChainLocked).
     std::atomic<lock::LockManager::ShardSet> lock_shards{0};
+    /// The locks taken ahead (LockAhead), sorted by object, one entry
+    /// per object at its strongest mode; held until the transaction
+    /// completes. Empty when it did not lock ahead.
+    std::vector<lock::LockManager::BatchLockRequest> ahead GUARDED_BY(rec_mu);
   };
 
   struct TableShard {
@@ -142,7 +163,8 @@ class ShardedEngine final : public EngineCore, public lock::Ancestry {
   };
   struct StoreShard {
     mutable Mutex store_mu{"txn.store", kRankTxnStore};
-    std::unordered_map<ObjectId, Value> values GUARDED_BY(store_mu);
+    /// Insert-only: a committed object keeps its entry.
+    FlatMap<ObjectId, Value> values GUARDED_BY(store_mu);
   };
   /// One blocked acquirer's edge in the wait-for graph.
   struct WaitEdge {
@@ -177,6 +199,11 @@ class ShardedEngine final : public EngineCore, public lock::Ancestry {
 
   /// Status for an access against a dead transaction (rec_mu held).
   static Status DeadStatusLocked(const TxnRec& rec) REQUIRES(rec.rec_mu);
+  /// True when the locks `rec` took ahead cover every op of `ops` and it
+  /// has no open child: the batch needs no lock-table pass.
+  static bool CoveredLocked(const TxnRec& rec,
+                            std::span<const BatchAccess> ops)
+      REQUIRES(rec.rec_mu);
   /// The blocking lock-acquisition loop shared by Access and
   /// AccessBatch: repeated AcquireOrEnqueue with the deadlock-detection
   /// / timeout policy. A non-ok return means `r` is already dead (the
@@ -193,10 +220,15 @@ class ShardedEngine final : public EngineCore, public lock::Ancestry {
   /// The visible value of x for the chain (every chain mutex held via
   /// LockChain — invisible to the analysis, hence the opt-out), plus the
   /// private write and the trace event, atomically.
-  StatusOr<Value> RecordAccessChainLocked(const std::vector<TxnRec*>& chain,
+  StatusOr<Value> RecordAccessChainLocked(std::span<TxnRec* const> chain,
                                           ObjectId x,
                                           const action::Update& update)
       NO_THREAD_SAFETY_ANALYSIS;
+  /// Records every op of a batch in order (chain locked as above); once
+  /// the transaction is found dead every remaining op reports it.
+  void RecordBatchChainLocked(std::span<TxnRec* const> chain,
+                              std::span<const BatchAccess> ops,
+                              OpOutcome* out) NO_THREAD_SAFETY_ANALYSIS;
   /// Commit state transition + version propagation for a child commit
   /// (parent and child record mutexes held, parent first).
   Status CommitChildLocked(TxnRec* rec, TxnRec* parent)

@@ -74,6 +74,10 @@ void Transaction::ApplyBatch(std::span<const BatchAccess> ops,
   core_->AccessBatch(id_, ops, results);
 }
 
+Status Transaction::LockAhead(std::span<const BatchAccess> ops) {
+  return core_->LockAhead(id_, ops);
+}
+
 StatusOr<std::unique_ptr<TxnHandle>> Transaction::BeginChild() {
   RNT_ASSIGN_OR_RETURN(lock::TxnId child, core_->BeginChild(id_));
   return std::unique_ptr<TxnHandle>(new Transaction(core_, child));

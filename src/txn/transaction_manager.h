@@ -139,6 +139,10 @@ class TransactionManager final : public Engine {
     /// quiescence means a lock leak (see the commit-vs-abort inheritance
     /// race regression test).
     std::uint64_t lock_records = 0;
+    /// Objects in the committed store, and the bytes its per-object
+    /// table holds (the sharded engine only; zero under kGlobalMutex).
+    std::uint64_t store_objects = 0;
+    std::uint64_t store_bytes = 0;
   };
   Stats stats() const;
 
@@ -160,6 +164,7 @@ class Transaction final : public TxnHandle {
   StatusOr<Value> Apply(ObjectId x, const action::Update& update) override;
   void ApplyBatch(std::span<const BatchAccess> ops,
                   OpOutcome* results) override;
+  Status LockAhead(std::span<const BatchAccess> ops) override;
   StatusOr<std::unique_ptr<TxnHandle>> BeginChild() override;
   Status Commit() override;
   Status Abort() override;

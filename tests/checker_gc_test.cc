@@ -374,6 +374,30 @@ TEST(CheckerGcTest, OpenWindowsReturnToZeroOverManyObjects) {
   EXPECT_LT(s.live_vertices, 300u);
 }
 
+TEST(CheckerGcTest, WindowTableCostsAtMost40BytesPerObject) {
+  // Every object ever performed on keeps its fold and next position for
+  // good. They live in an open-addressing table of 20-byte slots kept
+  // 53–80% full, so 64k objects must cost at most 40 bytes each (a node
+  // map spent about 58).
+  constexpr ObjectId kObjects = 1 << 16;
+  OnlineChecker checker;
+  lock::TxnId next = 1;
+  for (ObjectId x = 0; x < kObjects; ++x) {
+    const lock::TxnId t = next++;
+    checker.Append({TraceEvent::Kind::kBegin, t, 0, 0, {}, 0});
+    checker.Append({TraceEvent::Kind::kPerform, next++, t, x * 5 + 1,
+                    Update::Write(x), 0});
+    checker.Append({TraceEvent::Kind::kCommit, t, 0, 0, {}, 0});
+  }
+  const auto v = checker.Verdict();
+  ASSERT_EQ(v.outcome, Outcome::kOk) << v.detail;
+  const auto s = checker.stats();
+  EXPECT_EQ(s.objects, kObjects);
+  EXPECT_EQ(s.open_windows, 0u);
+  EXPECT_GT(s.window_bytes, 20u * kObjects);
+  EXPECT_LE(s.window_bytes, 40u * kObjects);
+}
+
 TEST(CheckerGcTest, WitnessSurvivesAggressiveGc) {
   // A cycle whose participants are *recent* must still be caught and
   // witnessed exactly even when everything older has been retired:

@@ -325,6 +325,36 @@ TEST_P(ShardedLockManagerTest, CancelWaitAndPoke) {
       << "poke does not release anything";
 }
 
+TEST_P(ShardedLockManagerTest, GiveBackWakesWaiterAndKeepsRetention) {
+  // 1 took x3 ahead; 2 queues on it. Giving x3 back wakes 2 at once.
+  ASSERT_TRUE(lm_->TryAcquire(3, 1, LockMode::kWrite));
+  auto attempt = lm_->AcquireOrEnqueue(3, 2, LockMode::kWrite);
+  ASSERT_FALSE(attempt.acquired);
+  std::thread giver([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const ObjectId back[] = {3};
+    lm_->GiveBack(1, back);
+  });
+  EXPECT_TRUE(lm_->WaitOn(3, attempt.ticket,
+                          std::chrono::steady_clock::now() +
+                              std::chrono::seconds(10)));
+  giver.join();
+  EXPECT_EQ(lm_->HolderCount(3), 0u);
+  EXPECT_TRUE(lm_->TryAcquire(3, 2, LockMode::kWrite));
+  lm_->OnCommit(2, kNoTxn);
+  // A hold given back over a retention leaves the retention, and the
+  // retention's commit still finds it.
+  ASSERT_TRUE(lm_->TryAcquire(4, 11, LockMode::kWrite));
+  lm_->OnCommit(11, 1);
+  ASSERT_TRUE(lm_->TryAcquire(4, 1, LockMode::kRead));
+  const ObjectId back[] = {4};
+  lm_->GiveBack(1, back);
+  EXPECT_FALSE(lm_->Holds(4, 1, LockMode::kRead));
+  EXPECT_TRUE(lm_->Retains(4, 1, LockMode::kWrite));
+  lm_->OnCommit(1, kNoTxn, lm_->ShardBit(4));
+  EXPECT_EQ(lm_->RecordCount(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Shards, ShardedLockManagerTest,
                          ::testing::Values(1u, 3u, 16u),
                          [](const auto& info) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <thread>
 
 #include "aat/aat.h"
@@ -301,6 +302,117 @@ TEST(TxnEngineTest, BatchOnAbortedChildLeavesNoLock) {
   EXPECT_TRUE(t3->Put(2, 30).ok());
   ASSERT_TRUE(t3->Commit().ok());
   EXPECT_EQ(mgr.ReadCommitted(2), 30);
+}
+
+TEST(TxnEngineTest, LockAheadAbortedWhileWaitingLeavesNoLock) {
+  // t2 locks {2, 5, 9} ahead while t1 holds 5: 2 is kept, 9 is given
+  // back, and t2 waits for 5 until another thread aborts it. The lock
+  // ahead then reports the death, every op of the batch reports it too,
+  // and no lock record of t2 remains.
+  TransactionManager::Options opt;
+  opt.deadlock_detection = false;
+  opt.lock_wait_timeout = std::chrono::seconds(10);
+  TransactionManager mgr(opt);
+  auto t1 = mgr.Begin();
+  ASSERT_TRUE(t1->Put(5, 50).ok());
+  auto t2 = mgr.Begin();
+  const BatchAccess ops[] = {{9, Update::Write(90)},
+                             {2, Update::Write(20)},
+                             {5, Update::Read()}};
+  Status ahead = Status::Ok();
+  OpOutcome out[3];
+  std::thread waiter([&] {
+    ahead = t2->LockAhead(ops);
+    t2->ApplyBatch(ops, out);
+  });
+  while (mgr.stats().lock_waits == 0) std::this_thread::yield();
+  ASSERT_TRUE(t2->Abort().ok());
+  waiter.join();
+  EXPECT_TRUE(ahead.IsAborted()) << ahead;
+  for (const OpOutcome& o : out) EXPECT_EQ(o.code, StatusCode::kAborted);
+  EXPECT_EQ(mgr.stats().lock_records, 1u) << "only t1's lock on 5 is left";
+  ASSERT_TRUE(t1->Commit().ok());
+  EXPECT_EQ(mgr.stats().lock_records, 0u);
+  auto t3 = mgr.Begin();
+  EXPECT_TRUE(t3->Put(2, 21).ok());
+  EXPECT_TRUE(t3->Put(9, 91).ok());
+  ASSERT_TRUE(t3->Commit().ok());
+}
+
+TEST(TxnEngineTest, LockAheadSkipWaitsForAnOpenChild) {
+  // t locked 0 ahead. While its child c holds a write lock on 0, t's own
+  // batch on 0 must still take the lock path and wait for c, even
+  // though the ahead set covers it.
+  TransactionManager mgr;
+  auto t = mgr.Begin();
+  const BatchAccess ahead[] = {{0, Update::Write(1)}};
+  ASSERT_TRUE(t->LockAhead(ahead).ok());
+  auto c = t->BeginChild();
+  ASSERT_TRUE(c.ok());
+  ASSERT_TRUE((*c)->Put(0, 7).ok());
+  const std::uint64_t waits_before = mgr.stats().lock_waits;
+  std::atomic<bool> done{false};
+  OpOutcome out[1];
+  std::thread reader([&] {
+    const BatchAccess read[] = {{0, Update::Read()}};
+    t->ApplyBatch(read, out);
+    done = true;
+  });
+  while (mgr.stats().lock_waits == waits_before) std::this_thread::yield();
+  EXPECT_FALSE(done) << "t read past its open child's write lock";
+  ASSERT_TRUE((*c)->Commit().ok());
+  reader.join();
+  ASSERT_EQ(out[0].code, StatusCode::kOk);
+  EXPECT_EQ(out[0].value, 7) << "t saw its committed child's write";
+  // With the child gone the covered batch skips the lock table.
+  const BatchAccess write[] = {{0, Update::Write(8)}};
+  t->ApplyBatch(write, out);
+  EXPECT_EQ(out[0].code, StatusCode::kOk);
+  EXPECT_EQ(mgr.stats().lock_waits, waits_before + 1);
+  ASSERT_TRUE(t->Commit().ok());
+  EXPECT_EQ(mgr.ReadCommitted(0), 8);
+  EXPECT_EQ(mgr.stats().lock_records, 0u);
+}
+
+TEST(TxnEngineTest, OpOutsideLockAheadTakesTheLockPath) {
+  // t declared only object 1; its batch also touches 7, which u holds.
+  // The batch is not covered, so it queues on 7 and times out.
+  TransactionManager::Options opt;
+  opt.deadlock_detection = false;
+  opt.lock_wait_timeout = std::chrono::milliseconds(50);
+  TransactionManager mgr(opt);
+  auto u = mgr.Begin();
+  ASSERT_TRUE(u->Put(7, 70).ok());
+  auto t = mgr.Begin();
+  const BatchAccess ahead[] = {{1, Update::Write(10)}};
+  ASSERT_TRUE(t->LockAhead(ahead).ok());
+  const BatchAccess ops[] = {{1, Update::Write(10)}, {7, Update::Read()}};
+  OpOutcome out[2];
+  t->ApplyBatch(ops, out);
+  EXPECT_EQ(out[0].code, StatusCode::kTimeout);
+  EXPECT_EQ(out[1].code, StatusCode::kTimeout);
+  EXPECT_EQ(mgr.stats().timeout_aborts, 1u);
+  ASSERT_TRUE(u->Commit().ok());
+  EXPECT_EQ(mgr.stats().lock_records, 0u);
+  EXPECT_EQ(mgr.ReadCommitted(1), action::kInitValue);
+}
+
+TEST(TxnEngineTest, CommittedStoreCostsAtMost24BytesPerObject) {
+  // The committed store is an open-addressing table of 12-byte slots
+  // kept 53–80% full: 64k objects must fit in 24 bytes each (a node
+  // map spends about 43).
+  constexpr ObjectId kObjects = 1 << 16;
+  std::map<ObjectId, Value> values;
+  for (ObjectId x = 0; x < kObjects; ++x) values[x * 7 + 3] = x;
+  TransactionManager mgr;
+  mgr.Preload(values);
+  const TransactionManager::Stats st = mgr.stats();
+  EXPECT_EQ(st.store_objects, kObjects);
+  EXPECT_GT(st.store_bytes, 12u * kObjects);
+  EXPECT_LE(st.store_bytes, 24u * kObjects);
+  EXPECT_EQ(mgr.ReadCommitted(7 * 1000 + 3), 1000);
+  EXPECT_EQ(mgr.ReadCommitted(1), action::kInitValue);
+  EXPECT_EQ(mgr.DumpCommitted(), values);
 }
 
 TEST(TxnEngineTest, TraceReplayYieldsSerializableTree) {

@@ -7,14 +7,19 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/flat_map.h"
+
 namespace rnt::txn {
 
 using FixtureIndex = std::unordered_map<std::uint64_t, int>;
+using FixtureFolds = FlatMap<std::uint32_t, std::int64_t>;
 
 struct FixtureWalker {
   std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> edges_;
   std::unordered_set<std::uint64_t> seen_;
   FixtureIndex index_;
+  FlatMap<std::uint32_t, std::int64_t> windows_;
+  FixtureFolds folds_;
 
   std::uint64_t FirstEdge() const {
     for (const auto& [from, outs] : edges_) {  // lint-expect
@@ -31,6 +36,23 @@ struct FixtureWalker {
     int n = 0;
     for (const auto& kv : index_) n += kv.second;  // lint-expect
     return n;
+  }
+
+  // FlatMap is lookup-only here too: ForEach walks in hash order.
+  std::int64_t FirstWindow() const {
+    std::int64_t first = 0;
+    windows_.ForEach([&](std::uint32_t, std::int64_t v) {  // lint-expect
+      if (first == 0) first = v;
+    });
+    return first;
+  }
+
+  std::int64_t SumFolds() const {
+    std::int64_t sum = 0;
+    folds_.ForEach([&](std::uint32_t, std::int64_t v) {  // lint-expect
+      sum += v;
+    });
+    return sum;
   }
 
   // The header-declared checker maps are covered from the .cc too.

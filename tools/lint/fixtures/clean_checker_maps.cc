@@ -16,6 +16,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 
@@ -51,6 +52,14 @@ class FixtureCheckerState {
     return it == windows_.end() ? 0 : it->second.size();
   }
 
+  // FlatMap is for point lookups and inserts in the same way.
+  std::int64_t Fold(std::uint32_t object) {
+    MutexLock lk(mu_);
+    const std::int64_t* fold = folds_.Find(object);
+    if (fold == nullptr) folds_[object] = 0;
+    return fold == nullptr ? 0 : *fold;
+  }
+
   // Ordered walks go through the ordered index of the same keys.
   std::size_t OpenTotal() const {
     MutexLock lk(mu_);
@@ -67,6 +76,7 @@ class FixtureCheckerState {
       GUARDED_BY(mu_);
   std::unordered_set<std::uint64_t> tombstones_ GUARDED_BY(mu_);
   std::set<std::uint64_t> open_ GUARDED_BY(mu_);
+  FlatMap<std::uint32_t, std::int64_t> folds_ GUARDED_BY(mu_);
 };
 
 }  // namespace rnt::txn

@@ -34,12 +34,13 @@ where the compiler cannot:
                        hashed-iteration instead.
   hashed-iteration     in the lookup-only files (src/txn/online_checker.*),
                        iterating a hashed container — a range-for over
-                       it, or begin()/cbegin()/std::begin on it — is
-                       banned: the walk order is hash-seed dependent and
-                       would leak into verdicts and witnesses. end() stays
-                       legal (find(...) != end()). Names are those the
-                       file declares with a std::unordered_* type or an
-                       alias of one.
+                       it, begin()/cbegin()/std::begin on it, or
+                       ForEach() on an rnt::FlatMap — is banned: the walk
+                       order is hash order and would leak into verdicts
+                       and witnesses. end() stays legal
+                       (find(...) != end()). Names are those the file
+                       declares with a std::unordered_* or FlatMap type
+                       or an alias of one.
   pointer-keyed        std::map/std::set keyed by a raw pointer in src/sim
                        and src/dist iterate in address order, which varies
                        run to run. Key by a stable id instead.
@@ -397,8 +398,10 @@ RULES: list[Rule] = [
          check_status_must_use),
 ]
 
-HASHED_TYPE_RE = re.compile(r"std::unordered_(?:map|set|multimap|multiset)\s*<")
-HASHED_ALIAS_RE = re.compile(r"\busing\s+(\w+)\s*=\s*std::unordered_")
+HASHED_TYPE_RE = re.compile(
+    r"(?:std::unordered_(?:map|set|multimap|multiset)|\bFlatMap)\s*<")
+HASHED_ALIAS_RE = re.compile(
+    r"\busing\s+(\w+)\s*=\s*(?:std::unordered_|(?:rnt::)?FlatMap\b)")
 IDENT_RE = re.compile(r"\s*(?:const\s*)?[&*]*\s*([A-Za-z_]\w*)")
 # A range-for's range expression: everything after the lone `:` (not
 # `::`) up to the closing parenthesis.
@@ -436,6 +439,10 @@ def hashed_iteration(code: str, names: set[str]) -> str | None:
                           code):
             return (f"begin() on hashed container `{name}` in a lookup-only "
                     "file; its order is hash-seed dependent — iterate an "
+                    "ordered index instead")
+        if re.search(rf"\b{name}\s*(?:\.|->)\s*ForEach\s*\(", code):
+            return (f"ForEach() on hashed container `{name}` in a "
+                    "lookup-only file; it walks in hash order — iterate an "
                     "ordered index instead")
     return None
 
