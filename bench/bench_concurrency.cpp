@@ -10,20 +10,17 @@
 // workers and skew than the flat baseline's.
 //
 // Experiment E11 (EXPERIMENTS.md): `--sweep_json` runs a thread-count
-// sweep (1/2/4/8 workers) of the sharded engine against the retired
-// global-mutex design and emits one JSON document on stdout, in the
-// style of bench_faults, so the scalability trajectory is tracked:
+// sweep (1/2/4/8 workers) of the engine at its default 16 shards
+// against the same engine at one shard (the coarse-grained ablation) and
+// emits one JSON document on stdout, in the style of bench_faults, so
+// the scalability trajectory is tracked:
 //   {"bench":"concurrency","txns_per_worker":...,"trajectory":[{...}]}
-//
-// `--engine=global-mutex` (or `sharded`, the default) selects the
-// concurrency skeleton for the google-benchmark path, so the seed
-// design stays measurable after its retirement as the default.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "baseline/flat_engine.h"
@@ -35,11 +32,7 @@ namespace {
 using rnt::workload::Params;
 using rnt::workload::Result;
 using rnt::workload::RunMixed;
-using rnt::txn::EngineMode;
 using rnt::txn::TransactionManager;
-
-/// Engine skeleton used by the google-benchmark path; set via --engine=.
-EngineMode g_engine_mode = EngineMode::kSharded;
 
 Params MakeParams(double theta) {
   Params p;
@@ -53,12 +46,6 @@ Params MakeParams(double theta) {
 }
 
 constexpr int kTxnsPerWorker = 40;
-
-TransactionManager::Options EngineOptions() {
-  TransactionManager::Options opt;
-  opt.mode = g_engine_mode;
-  return opt;
-}
 
 void Report(benchmark::State& state, const Result& total,
             std::uint64_t runs) {
@@ -79,7 +66,7 @@ void BM_Nested(benchmark::State& state) {
   Result total;
   std::uint64_t runs = 0;
   for (auto _ : state) {
-    TransactionManager engine(EngineOptions());
+    TransactionManager engine;
     total.MergeFrom(RunMixed(engine, p, workers, kTxnsPerWorker, 17));
     ++runs;
   }
@@ -98,7 +85,7 @@ void BM_NestedParallel(benchmark::State& state) {
   Result total;
   std::uint64_t runs = 0;
   for (auto _ : state) {
-    TransactionManager engine(EngineOptions());
+    TransactionManager engine;
     total.MergeFrom(RunMixed(engine, p, workers, kTxnsPerWorker, 17));
     ++runs;
   }
@@ -144,7 +131,7 @@ BENCHMARK(BM_Flat)
     ->MinTime(0.3);
 
 // ---------------------------------------------------------------------
-// E11: thread-count sweep, sharded vs global-mutex, JSON on stdout.
+// E11: thread-count sweep, 16 shards vs 1 shard, JSON on stdout.
 
 struct SweepPoint {
   double txn_per_s = 0;
@@ -155,13 +142,13 @@ struct SweepPoint {
   std::uint64_t timeout_aborts = 0;
 };
 
-SweepPoint RunSweepCell(EngineMode mode, const Params& p, int workers,
+SweepPoint RunSweepCell(std::uint32_t shards, const Params& p, int workers,
                         int seeds) {
   SweepPoint pt;
   Result total;
   double elapsed = 0;
   TransactionManager::Options opt;
-  opt.mode = mode;
+  opt.shards = shards;
   for (int s = 0; s < seeds; ++s) {
     TransactionManager engine(opt);
     const auto t0 = std::chrono::steady_clock::now();
@@ -193,32 +180,26 @@ int RunSweepJson() {
     double theta;
   };
   const Arm kArms[] = {{"low", 0.0}, {"high", 0.9}};
-  struct EngineDesc {
-    const char* name;
-    EngineMode mode;
-  };
-  const EngineDesc kEngines[] = {{"sharded", EngineMode::kSharded},
-                                 {"global-mutex", EngineMode::kGlobalMutex}};
+  const std::uint32_t kShards[] = {16, 1};
 
   std::printf("{\"bench\":\"concurrency\",\"txns_per_worker\":%d,"
               "\"seeds\":%d,\"objects\":48,\"work_us_per_access\":200,",
               kTxnsPerWorker, kSeeds);
   std::printf("\"trajectory\":[");
-  double at8[2][2] = {{0, 0}, {0, 0}};  // [arm][engine] txn/s at 8 workers
+  double at8[2][2] = {{0, 0}, {0, 0}};  // [arm][shards] txn/s at 8 workers
   bool first = true;
   for (int a = 0; a < 2; ++a) {
     const Params p = MakeParams(kArms[a].theta);
     for (int e = 0; e < 2; ++e) {
       for (int workers : kWorkers) {
-        const SweepPoint pt =
-            RunSweepCell(kEngines[e].mode, p, workers, kSeeds);
+        const SweepPoint pt = RunSweepCell(kShards[e], p, workers, kSeeds);
         if (workers == 8) at8[a][e] = pt.txn_per_s;
         std::printf(
-            "%s{\"contention\":\"%s\",\"engine\":\"%s\",\"threads\":%d,"
+            "%s{\"contention\":\"%s\",\"shards\":%u,\"threads\":%d,"
             "\"txn_per_s\":%.1f,\"committed\":%llu,"
             "\"attempts_per_commit\":%.3f,\"lock_waits\":%llu,"
             "\"deadlock_aborts\":%llu,\"timeout_aborts\":%llu}",
-            first ? "" : ",", kArms[a].name, kEngines[e].name, workers,
+            first ? "" : ",", kArms[a].name, kShards[e], workers,
             pt.txn_per_s, static_cast<unsigned long long>(pt.committed),
             pt.attempts_per_commit,
             static_cast<unsigned long long>(pt.lock_waits),
@@ -245,17 +226,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--sweep_json") {
       sweep = true;
-    } else if (arg.rfind("--engine=", 0) == 0) {
-      const std::string name = arg.substr(std::strlen("--engine="));
-      if (name == "global-mutex") {
-        g_engine_mode = EngineMode::kGlobalMutex;
-      } else if (name == "sharded") {
-        g_engine_mode = EngineMode::kSharded;
-      } else {
-        std::fprintf(stderr, "unknown --engine=%s (want sharded|global-mutex)\n",
-                     name.c_str());
-        return 2;
-      }
     } else {
       argv[out++] = argv[i];  // leave the rest for google-benchmark
     }

@@ -1,7 +1,7 @@
 // Experiment E15 (EXPERIMENTS.md): the batched-operations front end —
 // what batching buys a fleet of request-response clients over submitting
 // the same op stream one op at a time, across batch size x client count
-// x engine skeleton.
+// x shard count (the default 16, and 1 as the coarse-grained ablation).
 //
 // Every cell runs the identical seeded workload (transaction boundaries
 // and op streams are a pure function of the seed — batch_size only
@@ -44,7 +44,6 @@ using rnt::frontend::AsyncFrontend;
 using rnt::frontend::FleetOptions;
 using rnt::frontend::FleetReport;
 using rnt::frontend::RunFleet;
-using rnt::txn::EngineMode;
 using rnt::txn::OnlineChecker;
 using rnt::txn::TransactionManager;
 
@@ -53,12 +52,8 @@ double Seconds(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-const char* ModeName(EngineMode m) {
-  return m == EngineMode::kSharded ? "sharded" : "global";
-}
-
 /// Fleet shape shared by every sweep cell; only batch size, client
-/// count, and engine mode vary.
+/// count, and shard count vary.
 FleetOptions BaseFleet(bool smoke) {
   FleetOptions f;
   f.rounds = smoke ? 2 : 8;
@@ -86,14 +81,15 @@ FleetReport TimeFleet(TransactionManager& engine, const FleetOptions& f,
 /// One sweep cell: timed pass (no sink) + certification pass (live
 /// checker). Emits one JSON object; fails the sweep on any checker
 /// rejection.
-bool SweepCell(EngineMode mode, std::uint64_t clients, std::uint64_t batch,
-               bool smoke, FILE* out, bool first, double* ops_per_sec) {
+bool SweepCell(std::uint32_t shards, std::uint64_t clients,
+               std::uint64_t batch, bool smoke, FILE* out, bool first,
+               double* ops_per_sec) {
   FleetOptions f = BaseFleet(smoke);
   f.clients = clients;
   f.batch_size = batch;
 
   TransactionManager::Options topt;
-  topt.mode = mode;
+  topt.shards = shards;
   TransactionManager engine(topt);
   const FleetReport timed = TimeFleet(engine, f, ops_per_sec);
 
@@ -103,7 +99,7 @@ bool SweepCell(EngineMode mode, std::uint64_t clients, std::uint64_t batch,
   copt.mode = OnlineChecker::Mode::kRw;
   OnlineChecker checker(copt);
   TransactionManager::Options ctopt;
-  ctopt.mode = mode;
+  ctopt.shards = shards;
   ctopt.trace_sink = &checker;
   TransactionManager checked_engine(ctopt);
   double checked_ops = 0;
@@ -111,9 +107,9 @@ bool SweepCell(EngineMode mode, std::uint64_t clients, std::uint64_t batch,
   const auto verdict = checker.Verdict();
   if (verdict.outcome != OnlineChecker::Outcome::kOk) {
     std::fprintf(stderr,
-                 "E15 sweep: live checker rejected %s/%llu clients/batch "
-                 "%llu: %s\n",
-                 ModeName(mode), static_cast<unsigned long long>(clients),
+                 "E15 sweep: live checker rejected %u shards/%llu "
+                 "clients/batch %llu: %s\n",
+                 shards, static_cast<unsigned long long>(clients),
                  static_cast<unsigned long long>(batch),
                  verdict.detail.c_str());
     return false;
@@ -130,13 +126,12 @@ bool SweepCell(EngineMode mode, std::uint64_t clients, std::uint64_t batch,
   }
   std::fprintf(
       out,
-      "%s{\"engine\":\"%s\",\"clients\":%llu,\"batch\":%llu,"
+      "%s{\"shards\":%u,\"clients\":%llu,\"batch\":%llu,"
       "\"ops\":%llu,\"ops_per_sec\":%.0f,\"ok_ops\":%llu,"
       "\"failed_ops\":%llu,\"batches\":%llu,\"backpressure_waits\":%llu,"
       "\"checked_ops_per_sec\":%.0f,\"checker_events\":%llu,"
       "\"checker\":\"ok\"}",
-      first ? "" : ",", ModeName(mode),
-      static_cast<unsigned long long>(clients),
+      first ? "" : ",", shards, static_cast<unsigned long long>(clients),
       static_cast<unsigned long long>(batch),
       static_cast<unsigned long long>(timed.ops), *ops_per_sec,
       static_cast<unsigned long long>(timed.ok_ops),
@@ -153,8 +148,8 @@ bool SweepCell(EngineMode mode, std::uint64_t clients, std::uint64_t batch,
 /// batched at `batch`, one-op-at-a-time (batch 1), and per-op serial
 /// engine calls. All three must commit identical stores with identical
 /// per-op success counts — any divergence is a batching bug, not noise.
-bool OraclePoint(EngineMode mode, std::uint64_t batch, bool smoke, FILE* out,
-                 bool first) {
+bool OraclePoint(std::uint32_t shards, std::uint64_t batch, bool smoke,
+                 FILE* out, bool first) {
   struct Variant {
     std::uint64_t batch;
     AsyncFrontend::SubmitMode submit;
@@ -170,7 +165,7 @@ bool OraclePoint(EngineMode mode, std::uint64_t batch, bool smoke, FILE* out,
     OnlineChecker checker(
         OnlineChecker::Options{OnlineChecker::Mode::kRw, 256});
     TransactionManager::Options topt;
-    topt.mode = mode;
+    topt.shards = shards;
     topt.trace_sink = &checker;
     TransactionManager engine(topt);
     FleetOptions f = BaseFleet(smoke);
@@ -191,13 +186,13 @@ bool OraclePoint(EngineMode mode, std::uint64_t batch, bool smoke, FILE* out,
   if (!match) {
     std::fprintf(stderr,
                  "E15 oracle: batched / one-op / serial committed stores "
-                 "diverge (%s, batch %llu)\n",
-                 ModeName(mode), static_cast<unsigned long long>(batch));
+                 "diverge (%u shards, batch %llu)\n",
+                 shards, static_cast<unsigned long long>(batch));
   }
   std::fprintf(out,
-               "%s{\"engine\":\"%s\",\"batch\":%llu,\"objects_compared\":%zu,"
+               "%s{\"shards\":%u,\"batch\":%llu,\"objects_compared\":%zu,"
                "\"ok_ops\":%llu,\"match\":%s}",
-               first ? "" : ",", ModeName(mode),
+               first ? "" : ",", shards,
                static_cast<unsigned long long>(batch), dumps[0].size(),
                static_cast<unsigned long long>(ok_ops[0]),
                match ? "true" : "false");
@@ -216,8 +211,7 @@ int RunSweep(const std::string& path, bool smoke) {
   const std::vector<std::uint64_t> batches =
       smoke ? std::vector<std::uint64_t>{1, 64}
             : std::vector<std::uint64_t>{1, 4, 16, 64, 256};
-  const std::vector<EngineMode> modes = {EngineMode::kSharded,
-                                         EngineMode::kGlobalMutex};
+  const std::uint32_t shard_counts[] = {16, 1};
   FleetOptions base = BaseFleet(smoke);
   std::fprintf(out,
                "{\"bench\":\"frontend\",\"rounds\":%llu,\"txn_ops\":%llu,"
@@ -234,16 +228,16 @@ int RunSweep(const std::string& path, bool smoke) {
                static_cast<unsigned long long>(base.objects_per_client),
                base.write_fraction, base.nested_fraction, base.workers);
   // The headline: ops/s at batch >= 64 vs batch == 1 (one-op-at-a-time)
-  // on the sharded engine, best cell per side.
+  // at 16 shards, best cell per side.
   double sharded_batched64 = 0, sharded_oneop = 0;
   bool first = true;
-  for (EngineMode mode : modes) {
+  for (std::uint32_t shards : shard_counts) {
     for (std::uint64_t c : clients) {
       for (std::uint64_t b : batches) {
         double ops = 0;
-        if (!SweepCell(mode, c, b, smoke, out, first, &ops)) return 1;
+        if (!SweepCell(shards, c, b, smoke, out, first, &ops)) return 1;
         first = false;
-        if (mode == EngineMode::kSharded) {
+        if (shards == 16) {
           if (b >= 64 && ops > sharded_batched64) sharded_batched64 = ops;
           if (b == 1 && ops > sharded_oneop) sharded_oneop = ops;
         }
@@ -252,10 +246,10 @@ int RunSweep(const std::string& path, bool smoke) {
   }
   std::fprintf(out, "],\"oracle\":[");
   first = true;
-  for (EngineMode mode : modes) {
+  for (std::uint32_t shards : shard_counts) {
     for (std::uint64_t b : smoke ? std::vector<std::uint64_t>{64}
                                  : std::vector<std::uint64_t>{16, 64, 256}) {
-      if (!OraclePoint(mode, b, smoke, out, first)) return 1;
+      if (!OraclePoint(shards, b, smoke, out, first)) return 1;
       first = false;
     }
   }

@@ -47,7 +47,7 @@ void BM_LockAcquireAtDepth(benchmark::State& state) {
   TxnId leaf = static_cast<TxnId>(depth);
   for (auto _ : state) {
     benchmark::DoNotOptimize(lm.TryAcquire(0, leaf, LockMode::kWrite));
-    lm.OnAbort(leaf);  // reset for the next iteration
+    lm.OnAbort(leaf, LockManager::kAllShards);  // reset for the next round
   }
   state.counters["lock_records"] =
       static_cast<double>(lm.RecordCount());
@@ -66,7 +66,8 @@ void BM_CommitInheritChain(benchmark::State& state) {
     // at each level of the paper's level-3/4 algebras).
     for (int d = depth; d >= 1; --d) {
       lm.OnCommit(static_cast<TxnId>(d),
-                  d == 1 ? kNoTxn : static_cast<TxnId>(d - 1));
+                  d == 1 ? kNoTxn : static_cast<TxnId>(d - 1),
+                  LockManager::kAllShards);
     }
   }
   state.SetItemsProcessed(state.iterations() * depth);
@@ -82,7 +83,7 @@ void BM_AbortDiscard(benchmark::State& state) {
       lm.TryAcquire(x, 1, LockMode::kWrite);
     }
     state.ResumeTiming();
-    lm.OnAbort(1);
+    lm.OnAbort(1, LockManager::kAllShards);
   }
   state.SetItemsProcessed(state.iterations() * objects);
 }

@@ -43,14 +43,12 @@ inline constexpr int kRankRunnerError = 17;
 /// this rank nest with each other along one ancestor chain, acquired
 /// root-first (Access/AccessBatch) or parent-before-child (Commit).
 inline constexpr int kRankTxnRec = 20;
-/// The global (seed) engine's one big lock.
-inline constexpr int kRankEngineGlobal = 22;
 /// The MVTO baseline engine's single lock.
 inline constexpr int kRankMvtoEngine = 24;
 /// Lock-table shards (per-object queues of Moss's algorithm). Below the
-/// record ranks: the engines call into the lock manager while a record
-/// (or the global) mutex is held; a shard may query Ancestry, which
-/// reads the transaction table, but never a record mutex.
+/// record ranks: the engine calls into the lock manager while a record
+/// mutex is held; a shard may query Ancestry, which reads the
+/// transaction table, but never a record mutex.
 inline constexpr int kRankLockShard = 30;
 /// Transaction-table shards (id -> record).
 inline constexpr int kRankTxnTable = 35;

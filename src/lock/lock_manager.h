@@ -157,10 +157,10 @@ class LockManager {
   /// blocked transaction that was aborted from another thread.
   void Poke(ObjectId x);
 
-  /// A set of lock-table shards, one bit per shard index. Callers that
-  /// know where a transaction's locks live pass it to OnCommit/OnAbort so
-  /// only those shards are visited; any superset is safe, and kAllShards
-  /// (also the fallback beyond 64 shards) visits every shard.
+  /// A set of lock-table shards, one bit per shard index. Callers pass
+  /// where a transaction's locks live to OnCommit/OnAbort so only those
+  /// shards are visited; any superset is safe, and kAllShards (also the
+  /// fallback beyond 64 shards) visits every shard.
   using ShardSet = std::uint64_t;
   static constexpr ShardSet kAllShards = ~ShardSet{0};
   /// The shard holding `x`'s lock records, as a ShardSet.
@@ -175,11 +175,11 @@ class LockManager {
   /// cover every shard where `t` holds or retains a lock; the parent
   /// inherits into those same shards, so the caller adds them to the
   /// parent's set before calling.
-  void OnCommit(TxnId t, TxnId parent, ShardSet shards = kAllShards);
+  void OnCommit(TxnId t, TxnId parent, ShardSet shards);
 
   /// Lock discard on abort. Waiters of every affected object are woken.
   /// `shards` as for OnCommit.
-  void OnAbort(TxnId t, ShardSet shards = kAllShards);
+  void OnAbort(TxnId t, ShardSet shards);
 
   // Introspection (tests, benches).
   bool Holds(ObjectId x, TxnId t, LockMode mode) const;

@@ -82,10 +82,10 @@ class TxnHandle {
   /// remaining op reports the same death without side effects.
   ///
   /// The base implementation is the per-op loop, so every engine accepts
-  /// batches; engines with a cheaper bulk path override it (the sharded
+  /// batches; engines with a cheaper bulk path override it (the nested
   /// engine groups a batch's lock acquisitions per lock-table shard and
   /// records all accesses under one ancestor-chain critical section —
-  /// see internal::EngineCore::AccessBatch).
+  /// see internal::ShardedEngine::AccessBatch).
   virtual void ApplyBatch(std::span<const BatchAccess> ops,
                           OpOutcome* results) {
     for (std::size_t i = 0; i < ops.size(); ++i) {

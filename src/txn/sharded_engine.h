@@ -5,18 +5,25 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "action/update.h"
 #include "common/flat_map.h"
 #include "common/lock_ranks.h"
 #include "common/mutex.h"
+#include "common/status.h"
 #include "common/thread_annotations.h"
-#include "txn/engine_core.h"
+#include "common/types.h"
+#include "lock/lock_manager.h"
+#include "txn/engine.h"
+#include "txn/trace.h"
+#include "txn/transaction_manager.h"
 
 namespace rnt::txn::internal {
 
-/// The fine-grained engine (EngineMode::kSharded, the default).
+/// The engine behind TransactionManager's public face.
 ///
 /// State is split so that unrelated transactions never contend:
 ///  * the lock table is sharded by object inside lock::LockManager, with
@@ -54,15 +61,20 @@ namespace rnt::txn::internal {
 /// (NO_THREAD_SAFETY_ANALYSIS) are the chain lock/unlock helpers — a
 /// variable-length ordered acquisition the analysis cannot express —
 /// and the chain-protected access path that rides on them.
-class ShardedEngine final : public EngineCore, public lock::Ancestry {
+class ShardedEngine final : public lock::Ancestry {
  public:
   explicit ShardedEngine(TransactionManager::Options options);
-  ~ShardedEngine() override = default;
 
-  lock::TxnId BeginTop() override;
-  StatusOr<lock::TxnId> BeginChild(lock::TxnId parent) override;
+  /// Begins a top-level transaction (cannot fail: the virtual root U
+  /// never dies).
+  lock::TxnId BeginTop();
+  /// Begins a subtransaction of `parent`; fails iff the parent is not
+  /// active.
+  StatusOr<lock::TxnId> BeginChild(lock::TxnId parent);
+  /// One access: lock acquisition (blocking, with deadlock/timeout
+  /// policy), visible-value computation, private-version write.
   StatusOr<Value> Access(lock::TxnId t, ObjectId x,
-                         const action::Update& update) override;
+                         const action::Update& update);
   /// Batched accesses: one lock-table pass (distinct objects deduped to
   /// the strongest requested mode, grouped per lock shard by
   /// lock::LockManager::TryAcquireBatch), a blocking fallback per
@@ -77,7 +89,7 @@ class ShardedEngine final : public EngineCore, public lock::Ancestry {
   /// locks already cover the batch, and with no child running nothing
   /// else in its tree can take a conflicting lock.
   void AccessBatch(lock::TxnId t, std::span<const BatchAccess> ops,
-                   OpOutcome* out) override;
+                   OpOutcome* out);
   /// Lock-ahead for a top-level transaction before its first lock:
   /// every distinct declared object at its strongest declared mode. One
   /// TryAcquireBatch pass; if an object is refused, the grants above the
@@ -88,15 +100,17 @@ class ShardedEngine final : public EngineCore, public lock::Ancestry {
   /// object it holds, so no wait cycle runs through two of them.
   /// A no-op for subtransactions and for a transaction that already
   /// holds, retains or declared a lock.
-  Status LockAhead(lock::TxnId t, std::span<const BatchAccess> ops) override;
-  Status Commit(lock::TxnId t) override;
-  Status Abort(lock::TxnId t) override;
+  Status LockAhead(lock::TxnId t, std::span<const BatchAccess> ops);
+  Status Commit(lock::TxnId t);
+  Status Abort(lock::TxnId t);
 
-  Value ReadCommitted(ObjectId x) override;
-  Trace TakeTrace() override;
-  TransactionManager::Stats stats() const override;
-  void Preload(const std::map<ObjectId, Value>& values) override;
-  std::map<ObjectId, Value> DumpCommitted() const override;
+  Value ReadCommitted(ObjectId x);
+  Trace TakeTrace();
+  TransactionManager::Stats stats() const;
+  /// See TransactionManager::Preload (quiescent engines only).
+  void Preload(const std::map<ObjectId, Value>& values);
+  /// See TransactionManager::DumpCommitted.
+  std::map<ObjectId, Value> DumpCommitted() const;
 
   // lock::Ancestry. Thread-safe: ancestor paths are immutable.
   bool IsAncestor(lock::TxnId anc, lock::TxnId desc) const override;

@@ -1,27 +1,13 @@
 #include "txn/transaction_manager.h"
 
-#include "txn/engine_core.h"
-#include "txn/global_engine.h"
 #include "txn/sharded_engine.h"
 
 namespace rnt::txn {
 
-namespace {
-
-std::unique_ptr<internal::EngineCore> MakeCore(
-    const TransactionManager::Options& options) {
-  if (options.mode == EngineMode::kGlobalMutex) {
-    return std::make_unique<internal::GlobalEngine>(options);
-  }
-  return std::make_unique<internal::ShardedEngine>(options);
-}
-
-}  // namespace
-
 TransactionManager::TransactionManager() : TransactionManager(Options{}) {}
 
 TransactionManager::TransactionManager(Options options)
-    : impl_(MakeCore(options)) {}
+    : impl_(std::make_unique<internal::ShardedEngine>(options)) {}
 
 TransactionManager::~TransactionManager() = default;
 

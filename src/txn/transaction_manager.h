@@ -17,20 +17,8 @@ namespace rnt::txn {
 
 class Transaction;
 namespace internal {
-class EngineCore;
+class ShardedEngine;
 }
-
-/// Which concurrency skeleton the engine runs on. Semantics are
-/// identical; only the synchronization strategy differs.
-enum class EngineMode : std::uint8_t {
-  /// Sharded lock table + sharded value-map store + per-transaction
-  /// record locks; targeted per-object wakeups (default).
-  kSharded = 0,
-  /// The seed design: one global mutex, one broadcast condition
-  /// variable. Kept as the measured baseline for the scalability
-  /// experiments (E11) and as a bisection aid.
-  kGlobalMutex = 1,
-};
 
 /// The core library: a multithreaded nested-transaction engine running
 /// Moss's locking algorithm — the operational counterpart of the paper's
@@ -47,9 +35,9 @@ enum class EngineMode : std::uint8_t {
 ///    kills its subtree);
 ///  * optional execution tracing for offline serializability checking.
 ///
-/// Concurrency model (EngineMode::kSharded, the default): the lock table
-/// is sharded by object with per-shard mutexes and per-object wait
-/// queues (a release wakes exactly the waiters of that object); each
+/// Concurrency model (internal::ShardedEngine): the lock table is
+/// sharded by object with per-shard mutexes and per-object wait queues
+/// (a release wakes exactly the waiters of that object); each
 /// transaction keeps its private version buffer in its own record,
 /// guarded by a per-record mutex, and commit merges child into parent
 /// under parent-local locking; the committed store and the transaction
@@ -58,11 +46,9 @@ enum class EngineMode : std::uint8_t {
 /// while unrelated top-level trees never share a lock. Deadlock
 /// detection snapshots the wait-for graph shard by shard — no
 /// stop-the-world — and deterministically picks the youngest (largest
-/// id) transaction on the cycle as victim. EngineMode::kGlobalMutex
-/// retains the seed design (one mutex, broadcast wakeups) as the
-/// measured baseline; benchmark comparisons against the flat baseline
-/// remain apples-to-apples because both engines share the same skeleton
-/// (see DESIGN.md E1, EXPERIMENTS.md E11).
+/// id) transaction on the cycle as victim. Options::shards = 1 is the
+/// coarse-grained ablation: one lock-table, store and table shard (see
+/// EXPERIMENTS.md E11).
 class TransactionManager final : public Engine {
  public:
   struct Options {
@@ -77,13 +63,10 @@ class TransactionManager final : public Engine {
     std::chrono::milliseconds lock_wait_timeout{2000};
     /// Record a trace for offline action-tree reconstruction.
     bool record_trace = false;
-    /// Concurrency skeleton; see EngineMode.
-    EngineMode mode = EngineMode::kSharded;
     /// Shard count for the lock table, value-map store, and transaction
-    /// table (kSharded only; clamped to >= 1).
+    /// table (clamped to >= 1).
     std::uint32_t shards = 16;
-    /// How often a blocked acquirer re-runs deadlock detection
-    /// (kSharded only — the global engine re-checks on every broadcast).
+    /// How often a blocked acquirer re-runs deadlock detection.
     std::chrono::milliseconds deadlock_check_interval{5};
     /// Optional streaming event consumer (non-owning; must outlive the
     /// manager). Receives every trace event inside the engine's
@@ -140,14 +123,14 @@ class TransactionManager final : public Engine {
     /// race regression test).
     std::uint64_t lock_records = 0;
     /// Objects in the committed store, and the bytes its per-object
-    /// table holds (the sharded engine only; zero under kGlobalMutex).
+    /// table holds.
     std::uint64_t store_objects = 0;
     std::uint64_t store_bytes = 0;
   };
   Stats stats() const;
 
  private:
-  std::unique_ptr<internal::EngineCore> impl_;
+  std::unique_ptr<internal::ShardedEngine> impl_;
 };
 
 /// Concrete handle for TransactionManager transactions. Created via
@@ -173,10 +156,10 @@ class Transaction final : public TxnHandle {
 
  private:
   friend class TransactionManager;
-  Transaction(internal::EngineCore* core, lock::TxnId id)
+  Transaction(internal::ShardedEngine* core, lock::TxnId id)
       : core_(core), id_(id) {}
 
-  internal::EngineCore* core_;
+  internal::ShardedEngine* core_;
   lock::TxnId id_;
   bool finished_ = false;  // commit/abort called through this handle
 };

@@ -331,22 +331,5 @@ TEST(DurableEngineTest, CheckpointResetsWalAndPreservesState) {
   EXPECT_TRUE((*eng)->recovery().snapshot_loaded);
 }
 
-TEST(DurableEngineTest, GlobalMutexEngineIsDurableToo) {
-  rnt::testing::TempDir dir;
-  ASSERT_TRUE(dir.ok());
-  DurableEngineOptions opts = FastOptions();
-  opts.engine.mode = txn::EngineMode::kGlobalMutex;
-  {
-    auto eng = DurableEngine::Open(dir.path(), opts);
-    ASSERT_TRUE(eng.ok()) << eng.status();
-    auto t = (*eng)->Begin();
-    ASSERT_TRUE(t->Put(9, 99).ok());
-    ASSERT_TRUE(t->Commit().ok());
-  }
-  auto eng = DurableEngine::Open(dir.path(), opts);
-  ASSERT_TRUE(eng.ok()) << eng.status();
-  EXPECT_EQ((*eng)->ReadCommitted(9), 99);
-}
-
 }  // namespace
 }  // namespace rnt::storage

@@ -203,7 +203,7 @@ TEST(LockManagerPropertyTest, GrantedSetsAlwaysCompatible) {
           lm.TryAcquire(x, t, lock::LockMode::kWrite);
           break;
         case 2:
-          lm.OnAbort(t);
+          lm.OnAbort(t, lock::LockManager::kAllShards);
           dead.insert(t);
           break;
         default:

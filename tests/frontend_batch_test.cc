@@ -3,8 +3,8 @@
 // be indistinguishable from one-engine-call-per-op execution — same
 // per-op codes and values, same committed store, same live Theorem 9
 // verdict — across randomized batch shapes, including batches that
-// straddle nested begin/commit/abort boundaries, on both engine
-// skeletons. Labeled `frontend`; runs under the default and stress-tsan
+// straddle nested begin/commit/abort boundaries, at 16 shards and at
+// one. Labeled `frontend`; runs under the default and stress-tsan
 // presets.
 
 #include <gtest/gtest.h>
@@ -27,7 +27,6 @@
 namespace rnt::frontend {
 namespace {
 
-using txn::EngineMode;
 using txn::OnlineChecker;
 using txn::TransactionManager;
 
@@ -131,11 +130,11 @@ struct RunOutcome {
 /// checker mounted.
 RunOutcome RunStream(const std::vector<BatchOp>& ops,
                      const std::vector<std::size_t>& chunk_ends,
-                     EngineMode mode, bool batched) {
+                     std::uint32_t shards, bool batched) {
   OnlineChecker checker(
       OnlineChecker::Options{OnlineChecker::Mode::kRw, 256});
   TransactionManager::Options topt;
-  topt.mode = mode;
+  topt.shards = shards;
   topt.trace_sink = &checker;
   TransactionManager engine(topt);
   RunOutcome out;
@@ -174,7 +173,7 @@ std::vector<std::size_t> RandomChunks(std::uint64_t seed, std::size_t n) {
   return ends;
 }
 
-class DifferentialTest : public ::testing::TestWithParam<EngineMode> {};
+class DifferentialTest : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(DifferentialTest, BatchedMatchesSerialOnRandomStreams) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
@@ -253,9 +252,7 @@ TEST_P(DifferentialTest, DataOpsWithNoOpenTransactionAreRefused) {
   EXPECT_EQ(batched.committed, serial.committed);
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, DifferentialTest,
-                         ::testing::Values(EngineMode::kSharded,
-                                           EngineMode::kGlobalMutex));
+INSTANTIATE_TEST_SUITE_P(Shards, DifferentialTest, ::testing::Values(16u, 1u));
 
 // ---------------------------------------------------------------------
 // Async front end.
@@ -377,7 +374,7 @@ TEST(AsyncFrontendTest, BackpressureBlocksThenRecovers) {
 // Fleet: async execution matches the synchronous reference exactly.
 
 TEST(FleetTest, AsyncMatchesSyncCommittedStore) {
-  for (EngineMode mode : {EngineMode::kSharded, EngineMode::kGlobalMutex}) {
+  for (std::uint32_t shards : {16u, 1u}) {
     FleetOptions f;
     f.clients = 8;
     f.rounds = 3;
@@ -391,7 +388,7 @@ TEST(FleetTest, AsyncMatchesSyncCommittedStore) {
       OnlineChecker checker(
           OnlineChecker::Options{OnlineChecker::Mode::kRw, 256});
       TransactionManager::Options topt;
-      topt.mode = mode;
+      topt.shards = shards;
       topt.trace_sink = &checker;
       TransactionManager engine(topt);
       FleetOptions run = f;

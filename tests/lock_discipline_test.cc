@@ -26,6 +26,8 @@
 namespace rnt::txn {
 namespace {
 
+constexpr lock::LockManager::ShardSet kAll = lock::LockManager::kAllShards;
+
 class EveryoneRelated final : public lock::Ancestry {
  public:
   bool IsAncestor(lock::TxnId, lock::TxnId) const override { return true; }
@@ -71,11 +73,11 @@ TEST(LockManagerInheritance, OnAbortIsIdempotent) {
   NobodyRelated ancestry;
   lock::LockManager lm(&ancestry, {false, 4});
   ASSERT_TRUE(lm.TryAcquire(1, 10, lock::LockMode::kWrite));
-  lm.OnCommit(10, 5);  // inherit to 5 as retained
+  lm.OnCommit(10, 5, kAll);  // inherit to 5 as retained
   EXPECT_TRUE(lm.Retains(1, 5, lock::LockMode::kWrite));
-  lm.OnAbort(5);
+  lm.OnAbort(5, kAll);
   EXPECT_EQ(lm.RecordCount(), 0u);
-  lm.OnAbort(5);  // second sweep: no record, no crash, still empty
+  lm.OnAbort(5, kAll);  // second sweep: no record, no crash, still empty
   EXPECT_EQ(lm.RecordCount(), 0u);
 }
 
@@ -86,10 +88,10 @@ TEST(LockManagerInheritance, SweepClearsPostAbortInheritance) {
   EveryoneRelated ancestry;
   lock::LockManager lm(&ancestry, {false, 4});
   ASSERT_TRUE(lm.TryAcquire(1, 11, lock::LockMode::kWrite));
-  lm.OnAbort(5);       // parent 5 aborted first (no records yet)
-  lm.OnCommit(11, 5);  // late inheritance resurrects 5's retention
+  lm.OnAbort(5, kAll);       // parent 5 aborted first (no records yet)
+  lm.OnCommit(11, 5, kAll);  // late inheritance resurrects 5's retention
   EXPECT_TRUE(lm.Retains(1, 5, lock::LockMode::kWrite));
-  lm.OnAbort(5);       // the engine's repair sweep
+  lm.OnAbort(5, kAll);       // the engine's repair sweep
   EXPECT_EQ(lm.RecordCount(), 0u);
 }
 

@@ -91,7 +91,7 @@ TEST_F(LockManagerTest, UpgradeBlockedByConcurrentReader) {
 
 TEST_F(LockManagerTest, CommitInheritsToParentAsRetained) {
   ASSERT_TRUE(lm_->TryAcquire(0, 11, LockMode::kWrite));
-  lm_->OnCommit(11, 1);
+  lm_->OnCommit(11, 1, LockManager::kAllShards);
   EXPECT_FALSE(lm_->Holds(0, 11, LockMode::kWrite));
   EXPECT_TRUE(lm_->Retains(0, 1, LockMode::kWrite));
   // Sibling 12 is a descendant of retainer 1: may acquire.
@@ -102,8 +102,8 @@ TEST_F(LockManagerTest, CommitInheritsToParentAsRetained) {
 
 TEST_F(LockManagerTest, TopLevelCommitReleasesEverything) {
   ASSERT_TRUE(lm_->TryAcquire(0, 11, LockMode::kWrite));
-  lm_->OnCommit(11, 1);
-  lm_->OnCommit(1, kNoTxn);
+  lm_->OnCommit(11, 1, LockManager::kAllShards);
+  lm_->OnCommit(1, kNoTxn, LockManager::kAllShards);
   EXPECT_EQ(lm_->RecordCount(), 0u);
   EXPECT_TRUE(lm_->TryAcquire(0, 2, LockMode::kWrite));
 }
@@ -111,7 +111,7 @@ TEST_F(LockManagerTest, TopLevelCommitReleasesEverything) {
 TEST_F(LockManagerTest, AbortDiscardsLocks) {
   ASSERT_TRUE(lm_->TryAcquire(0, 11, LockMode::kWrite));
   ASSERT_TRUE(lm_->TryAcquire(1, 11, LockMode::kRead));
-  lm_->OnAbort(11);
+  lm_->OnAbort(11, LockManager::kAllShards);
   EXPECT_EQ(lm_->RecordCount(), 0u);
   EXPECT_TRUE(lm_->TryAcquire(0, 2, LockMode::kWrite));
   EXPECT_TRUE(lm_->TryAcquire(1, 2, LockMode::kWrite));
@@ -124,14 +124,14 @@ TEST_F(LockManagerTest, WriteBlockedBySiblingReader) {
          "ancestors; sibling 11 holds a read lock";
   // Once 11 commits its read lock up to the shared parent 1, sibling 12
   // is a descendant of the retainer and may write.
-  lm_->OnCommit(11, 1);
+  lm_->OnCommit(11, 1, LockManager::kAllShards);
   EXPECT_TRUE(lm_->TryAcquire(0, 12, LockMode::kWrite));
 }
 
 TEST_F(LockManagerTest, RetainerChainDeepCommit) {
   ASSERT_TRUE(lm_->TryAcquire(0, 111, LockMode::kWrite));
-  lm_->OnCommit(111, 11);
-  lm_->OnCommit(11, 1);
+  lm_->OnCommit(111, 11, LockManager::kAllShards);
+  lm_->OnCommit(11, 1, LockManager::kAllShards);
   EXPECT_TRUE(lm_->Retains(0, 1, LockMode::kWrite));
   EXPECT_FALSE(lm_->Retains(0, 11, LockMode::kWrite));
   EXPECT_EQ(lm_->RetainerCount(0), 1u);
@@ -164,10 +164,10 @@ TEST_F(LockManagerTest, RecordCountTracksFootprint) {
   lm_->TryAcquire(1, 11, LockMode::kWrite);
   lm_->TryAcquire(1, 111, LockMode::kWrite);
   EXPECT_EQ(lm_->RecordCount(), 3u);
-  lm_->OnCommit(111, 11);
+  lm_->OnCommit(111, 11, LockManager::kAllShards);
   EXPECT_EQ(lm_->RecordCount(), 3u) << "hold became retained on 11... "
                                        "merged with 11's own hold plus x0";
-  lm_->OnAbort(11);
+  lm_->OnAbort(11, LockManager::kAllShards);
   EXPECT_EQ(lm_->RecordCount(), 0u);
 }
 
@@ -200,7 +200,7 @@ TEST_P(ShardedLockManagerTest, ReadToWriteUpgradeGatedBySiblingCommit) {
   EXPECT_FALSE(lm_->TryAcquire(0, 12, LockMode::kWrite));
   // ...but once 12 commits, its read is *retained by the shared parent
   // 1*, an ancestor of 11 — the upgrade goes through.
-  lm_->OnCommit(12, 1);
+  lm_->OnCommit(12, 1, LockManager::kAllShards);
   EXPECT_TRUE(lm_->TryAcquire(0, 11, LockMode::kWrite)) << "upgrade";
   EXPECT_TRUE(lm_->Holds(0, 11, LockMode::kRead));
   EXPECT_TRUE(lm_->Holds(0, 11, LockMode::kWrite));
@@ -223,7 +223,7 @@ TEST_P(ShardedLockManagerTest, CommitInheritsAcrossShards) {
         << "test should actually span shards";
   }
   EXPECT_EQ(lm_->RecordCount(), kObjects);
-  lm_->OnCommit(111, 11);
+  lm_->OnCommit(111, 11, LockManager::kAllShards);
   EXPECT_EQ(lm_->RecordCount(), kObjects) << "held became retained";
   for (ObjectId x = 0; x < kObjects; ++x) {
     EXPECT_FALSE(lm_->Holds(x, 111, LockMode::kWrite));
@@ -232,10 +232,10 @@ TEST_P(ShardedLockManagerTest, CommitInheritsAcrossShards) {
     EXPECT_TRUE(lm_->Retains(x, 11, m)) << "object " << x;
   }
   // Chain up: 11 -> 1, then top-level commit releases everything.
-  lm_->OnCommit(11, 1);
+  lm_->OnCommit(11, 1, LockManager::kAllShards);
   EXPECT_EQ(lm_->RetainerCount(7), 1u);
   EXPECT_TRUE(lm_->Retains(7, 1, LockMode::kRead));
-  lm_->OnCommit(1, kNoTxn);
+  lm_->OnCommit(1, kNoTxn, LockManager::kAllShards);
   EXPECT_EQ(lm_->RecordCount(), 0u);
   EXPECT_TRUE(lm_->TryAcquire(0, 2, LockMode::kWrite));
 }
@@ -273,9 +273,9 @@ TEST_P(ShardedLockManagerTest, RetainedUpgradeMergesModes) {
   // A child's read and another child's write on the same object merge
   // into one retained ModeSet on the parent.
   ASSERT_TRUE(lm_->TryAcquire(5, 11, LockMode::kRead));
-  lm_->OnCommit(11, 1);
+  lm_->OnCommit(11, 1, LockManager::kAllShards);
   ASSERT_TRUE(lm_->TryAcquire(5, 12, LockMode::kWrite));
-  lm_->OnCommit(12, 1);
+  lm_->OnCommit(12, 1, LockManager::kAllShards);
   EXPECT_TRUE(lm_->Retains(5, 1, LockMode::kRead));
   EXPECT_TRUE(lm_->Retains(5, 1, LockMode::kWrite));
   EXPECT_EQ(lm_->RetainerCount(5), 1u);
@@ -289,7 +289,7 @@ TEST_P(ShardedLockManagerTest, EnqueueAndTargetedWakeup) {
   EXPECT_EQ(attempt.blockers[0], 11u);
   // Releasing an unrelated object must NOT wake x0's waiter...
   ASSERT_TRUE(lm_->TryAcquire(1, 12, LockMode::kWrite));
-  lm_->OnAbort(12);
+  lm_->OnAbort(12, LockManager::kAllShards);
   // ...so the ticket is still current and a short wait times out.
   EXPECT_FALSE(lm_->WaitOn(0, attempt.ticket,
                            std::chrono::steady_clock::now() +
@@ -300,7 +300,7 @@ TEST_P(ShardedLockManagerTest, EnqueueAndTargetedWakeup) {
   ASSERT_FALSE(attempt.acquired);
   std::thread releaser([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    lm_->OnAbort(11);
+    lm_->OnAbort(11, LockManager::kAllShards);
   });
   EXPECT_TRUE(lm_->WaitOn(0, attempt.ticket,
                           std::chrono::steady_clock::now() +
@@ -341,11 +341,11 @@ TEST_P(ShardedLockManagerTest, GiveBackWakesWaiterAndKeepsRetention) {
   giver.join();
   EXPECT_EQ(lm_->HolderCount(3), 0u);
   EXPECT_TRUE(lm_->TryAcquire(3, 2, LockMode::kWrite));
-  lm_->OnCommit(2, kNoTxn);
+  lm_->OnCommit(2, kNoTxn, LockManager::kAllShards);
   // A hold given back over a retention leaves the retention, and the
   // retention's commit still finds it.
   ASSERT_TRUE(lm_->TryAcquire(4, 11, LockMode::kWrite));
-  lm_->OnCommit(11, 1);
+  lm_->OnCommit(11, 1, LockManager::kAllShards);
   ASSERT_TRUE(lm_->TryAcquire(4, 1, LockMode::kRead));
   const ObjectId back[] = {4};
   lm_->GiveBack(1, back);

@@ -2,7 +2,7 @@
 // LockOrderRegistry (common/mutex.h) checks every acquisition against
 // the declared ranks and records the observed (held -> acquired) edges.
 // This suite seeds deliberate inversions and asserts they are reported,
-// then drives a real workload across both engine skeletons, the durable
+// then drives a real workload across the nested engine, the durable
 // WAL engine, the online checker, and the async front end, and asserts
 // the observed edge set is a SUBSET of the static acquisition graph
 // (tools/analyze/lock_graph.json) — observed ⊆ declared is the contract
@@ -120,9 +120,9 @@ TEST(LockOrderWitnessTest, UnrankedMutexesStayOutsideTheModel) {
   EXPECT_TRUE(LockOrderRegistry::ObservedEdges().empty());
 }
 
-/// The whole-stack drive: both engine skeletons under a contended nested
-/// workload with the online checker attached, the durable WAL engine,
-/// and the async front end. Everything the static analyzer modeled runs
+/// The whole-stack drive: the engine under a contended nested workload
+/// with the online checker attached, the durable WAL engine, and the
+/// async front end. Everything the static analyzer modeled runs
 /// for real; the witness must observe no violation and no edge outside
 /// the committed baseline.
 TEST(LockOrderWitnessTest, ObservedEdgesAreSubsetOfStaticGraph) {
@@ -138,10 +138,8 @@ TEST(LockOrderWitnessTest, ObservedEdgesAreSubsetOfStaticGraph) {
   params.child_failure_prob = 0.1;
   params.parallel_children = true;
 
-  for (const txn::EngineMode mode :
-       {txn::EngineMode::kSharded, txn::EngineMode::kGlobalMutex}) {
+  {
     txn::TransactionManager::Options topt;
-    topt.mode = mode;
     topt.record_trace = true;
     txn::OnlineChecker checker;
     topt.trace_sink = &checker;

@@ -185,12 +185,15 @@ TEST(RwAlgebraPropertyTest, RandomRunsRefineToOracleSpec) {
 // ---------------------------------------------------------------------
 // Conformance: the read/write *engine*'s traces are valid computations of
 // the read/write algebra (the two implementations of Moss's complete
-// algorithm agree).
+// algorithm agree), at the default 16 shards and at one shard.
 
 TEST(RwConformanceTest, RwEngineTracesAreValidRwComputations) {
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+  for (int run = 0; run < 12; ++run) {
+    const std::uint64_t seed = run % 6;
+    const std::uint32_t shards = run < 6 ? 16 : 1;
     txn::TransactionManager::Options opt;
     opt.record_trace = true;  // read/write mode is the default
+    opt.shards = shards;
     txn::TransactionManager mgr(opt);
     std::vector<std::thread> threads;
     for (int w = 0; w < 4; ++w) {
@@ -223,11 +226,13 @@ TEST(RwConformanceTest, RwEngineTracesAreValidRwComputations) {
       ASSERT_TRUE(alg.Defined(s, lowered->events[i]))
           << "rw engine step invalid at event " << i << " = "
           << algebra::ToString(lowered->events[i]) << " (seed " << seed
-          << ")";
+          << ", shards " << shards << ")";
       alg.Apply(s, lowered->events[i]);
     }
-    EXPECT_TRUE(aat::IsPermDataSerializableRw(s.tree));
-    EXPECT_TRUE(CheckRwInvariants(s).ok());
+    EXPECT_TRUE(aat::IsPermDataSerializableRw(s.tree))
+        << "seed " << seed << ", shards " << shards;
+    EXPECT_TRUE(CheckRwInvariants(s).ok())
+        << "seed " << seed << ", shards " << shards;
   }
 }
 

@@ -28,8 +28,8 @@ namespace {
 using action::Update;
 
 struct StressParam {
-  EngineMode mode;
   bool single_mode_locks;
+  std::uint32_t shards;
   const char* name;
 };
 
@@ -42,7 +42,7 @@ class EngineStressTest : public ::testing::TestWithParam<StressParam> {
   /// asserts the two verdicts agree.
   TransactionManager::Options BaseOptions() {
     TransactionManager::Options opt;
-    opt.mode = GetParam().mode;
+    opt.shards = GetParam().shards;
     opt.single_mode_locks = GetParam().single_mode_locks;
     opt.record_trace = true;
     OnlineChecker::Options copt;
@@ -261,10 +261,11 @@ TEST_P(EngineStressTest, MixedWorkloadWithFailureInjection) {
   CheckTrace(mgr.TakeTrace(), 99);
 }
 
-TEST(EngineEquivalenceTest, ShardedMatchesGlobalMutexSingleThreaded) {
-  // With one worker and a fixed seed both skeletons are deterministic
-  // and must produce the identical committed state — the sharded engine
-  // is a concurrency change, not a semantics change.
+TEST(EngineEquivalenceTest, OneShardMatchesSixteenSingleThreaded) {
+  // With one worker and a fixed seed the engine is deterministic at any
+  // shard count, and both runs must produce the identical committed
+  // state — the shard count is a concurrency change, not a semantics
+  // change.
   for (std::uint64_t seed : {5u, 17u}) {
     workload::Params params;
     params.num_objects = 10;
@@ -272,31 +273,33 @@ TEST(EngineEquivalenceTest, ShardedMatchesGlobalMutexSingleThreaded) {
     params.accesses_per_child = 2;
     params.read_fraction = 0.3;
     params.child_failure_prob = 0.2;
-    TransactionManager::Options sharded_opt;
-    sharded_opt.mode = EngineMode::kSharded;
-    TransactionManager::Options global_opt;
-    global_opt.mode = EngineMode::kGlobalMutex;
-    TransactionManager sharded(sharded_opt);
-    TransactionManager global(global_opt);
-    auto rs = workload::RunMixed(sharded, params, 1, 40, seed);
-    auto rg = workload::RunMixed(global, params, 1, 40, seed);
-    EXPECT_EQ(rs.committed, rg.committed) << "seed " << seed;
-    for (ObjectId x = 0; x < params.num_objects; ++x) {
-      EXPECT_EQ(sharded.ReadCommitted(x), global.ReadCommitted(x))
-          << "object " << x << " seed " << seed;
-    }
-    EXPECT_EQ(sharded.stats().committed, global.stats().committed);
-    EXPECT_EQ(sharded.stats().accesses, global.stats().accesses);
+    TransactionManager::Options one_opt;
+    one_opt.shards = 1;
+    TransactionManager::Options many_opt;
+    many_opt.shards = 16;
+    TransactionManager one(one_opt);
+    TransactionManager many(many_opt);
+    auto r1 = workload::RunMixed(one, params, 1, 40, seed);
+    auto r16 = workload::RunMixed(many, params, 1, 40, seed);
+    EXPECT_EQ(r1.committed, r16.committed) << "seed " << seed;
+    EXPECT_FALSE(one.DumpCommitted().empty()) << "seed " << seed;
+    EXPECT_EQ(one.DumpCommitted(), many.DumpCommitted()) << "seed " << seed;
+    EXPECT_EQ(one.stats().committed, many.stats().committed);
+    EXPECT_EQ(one.stats().accesses, many.stats().accesses);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, EngineStressTest,
     ::testing::Values(
-        StressParam{EngineMode::kSharded, false, "sharded_rw"},
-        StressParam{EngineMode::kSharded, true, "sharded_single"},
-        StressParam{EngineMode::kGlobalMutex, false, "global_rw"},
-        StressParam{EngineMode::kGlobalMutex, true, "global_single"}),
+        StressParam{false, 16, "sharded_rw"},
+        StressParam{true, 16, "sharded_single"},
+        // One shard: every object, record table and store entry on one
+        // shard mutex — the coarse-grained ablation.
+        StressParam{true, 1, "shards1_single"},
+        // Above 64 shards a ShardSet saturates to kAllShards, so commit
+        // and abort visit every lock-table shard.
+        StressParam{false, 128, "shards128_rw"}),
     [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
